@@ -28,9 +28,10 @@
 //!
 //! Run modes:
 //! * `--smoke` — 10k sessions, reduced iterations; prints the table and
-//!   exits non-zero if any workload regresses below 1×, if the per-op
-//!   refresh latency exceeds its ceiling, or if the steady-state
-//!   refresh path allocates (used by `scripts/check.sh`).
+//!   exits non-zero if any workload regresses below 1× or if the
+//!   per-op refresh latency exceeds its ceiling (used by
+//!   `scripts/check.sh`; the allocation-free refresh gate is the tier-1
+//!   test `tests/alloc_free_paths.rs`).
 //! * full (no flag) — 10k, 100k and 1M sessions; also writes
 //!   `results_full/BENCH_scale.json`.  The scan workloads' speedups
 //!   grow with size (roughly 10x churn / 30x probe at 100k); the
@@ -48,54 +49,18 @@
 //! Everything is driven from a fixed-seed [`SimRng`], so the work done
 //! (not the wall time) is identical across runs.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use sdalloc_core::{AddrSpace, InformedRandomAllocator, VisibleSession};
-use sdalloc_sap::cache::{AnnouncementCache, CacheEntry, CacheKey};
+use sdalloc_sap::cache::{AnnouncementCache, CacheKey};
 use sdalloc_sap::directory::{DirectoryConfig, SessionDirectory, TimerKind};
-use sdalloc_sap::sdp::{DescRef, Media, Origin, SessionDescription};
+use sdalloc_sap::sdp::{Media, Origin, SessionDescription};
 use sdalloc_sap::wire::SapPacket;
 use sdalloc_sim::{SimDuration, SimRng, SimTime};
-
-/// Counting allocator shim: forwards to the system allocator and
-/// tallies allocation events, so the smoke gate can assert the
-/// steady-state refresh path performs no heap allocation.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System`; the counter is a relaxed
-// atomic with no effect on allocation behaviour.  The workspace denies
-// `unsafe_code`, but a counting allocator cannot be written without
-// implementing the unsafe `GlobalAlloc` trait — the exemption is
-// scoped to this bench-only shim and adds no unsafe of its own.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
-}
 
 /// Process peak RSS in kilobytes (`VmHWM` from `/proc/self/status`).
 /// `None` off Linux or if the field is missing.
@@ -115,7 +80,7 @@ const TIMEOUT: SimDuration = SimDuration::from_secs(3600);
 /// reconciliation digests and governor indices both sides now
 /// maintain); only the lookups scan.
 struct LegacyCache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<CacheKey, LegacyEntry>,
     timeout: SimDuration,
     /// Matched-bookkeeping mirror of the indexed cache's per-bucket
     /// digest accumulators.
@@ -124,6 +89,14 @@ struct LegacyCache {
     origin_keys: HashMap<Ipv4Addr, BTreeSet<u64>>,
     /// Matched-bookkeeping mirror of the governor's unverified tier.
     unverified: BTreeSet<(SimTime, CacheKey)>,
+}
+
+/// The pre-refactor owned entry: a `String` per description field.
+struct LegacyEntry {
+    desc: SessionDescription,
+    first_heard: SimTime,
+    last_heard: SimTime,
+    announcements: u64,
 }
 
 impl LegacyCache {
@@ -153,7 +126,7 @@ impl LegacyCache {
                 self.unverified.insert((now, key));
                 self.entries.insert(
                     key,
-                    CacheEntry {
+                    LegacyEntry {
                         desc,
                         first_heard: now,
                         last_heard: now,
@@ -278,8 +251,7 @@ struct Knobs {
     churn_per_round: usize,
     probes: usize,
     expiry_steps: u64,
-    /// Individually-timed ops for the p50/p99 rows and the smoke
-    /// allocation gate.
+    /// Individually-timed ops for the p50/p99 rows.
     sampled_ops: usize,
 }
 
@@ -451,26 +423,6 @@ fn probe_op_latency<C: CacheOps>(cache: &C, space: &AddrSpace, ops: usize) -> (u
     let total: u128 = samples.iter().map(|&s| u128::from(s)).sum();
     let (p50, p99) = percentiles(&mut samples);
     (total, p50, p99)
-}
-
-/// Allocation events per steady-state refresh through the zero-copy
-/// admit path (`observe_announce_ref` with pre-parsed borrowed
-/// descriptions).  A refresh of an unchanged session must not allocate:
-/// the record already owns its interned strings and the heap slot is
-/// re-filed lazily.  Returns (ops, allocation events).
-fn refresh_alloc_count(indexed: &mut AnnouncementCache, n: usize, space: &AddrSpace) -> (u64, u64) {
-    let ops = 4096.min(n);
-    let mut rng = SimRng::new(29);
-    // Build the owned fixtures and their borrowed views up front; the
-    // counted window then sees only the cache refresh itself.
-    let descs: Vec<SessionDescription> = (0..ops).map(|_| session(rng.index(n), space)).collect();
-    let views: Vec<DescRef<'_>> = descs.iter().map(|d| d.as_ref()).collect();
-    let now = SimTime::from_secs(900);
-    let before = alloc_events();
-    for v in &views {
-        black_box(indexed.observe_announce_ref(now, v));
-    }
-    (ops as u64, alloc_events() - before)
 }
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
@@ -719,10 +671,6 @@ fn render_json(rows: &[Row], rss: &[(usize, u64)]) -> String {
 /// probe path) trips them on shared CI hardware.
 const SMOKE_REFRESH_P99_NS: u64 = 100_000;
 const SMOKE_PROBE_P99_NS: u64 = 200_000;
-/// Allocation slack for the refresh-path gate: a handful of events
-/// tolerated (allocator-internal bookkeeping), far below the
-/// one-per-op a cloning path would cost.
-const SMOKE_ALLOC_SLACK: u64 = 64;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -778,15 +726,6 @@ fn main() {
         println!("peak RSS after {size}: {kb} kB (VmHWM)");
     }
 
-    // Allocation-count gate material: steady-state refreshes through
-    // the zero-copy path must not allocate.
-    let gate_n = 10_000;
-    let space = AddrSpace::new(Ipv4Addr::new(224, 2, 0, 0), gate_n as u32);
-    let mut gate_cache = AnnouncementCache::new(TIMEOUT);
-    populate(&mut gate_cache, gate_n, &space);
-    let (gate_ops, gate_allocs) = refresh_alloc_count(&mut gate_cache, gate_n, &space);
-    println!("refresh allocation events: {gate_allocs} across {gate_ops} zero-copy refreshes");
-
     if !smoke {
         let json = render_json(&rows, &rss);
         fs::create_dir_all("results_full").expect("create results_full/");
@@ -818,8 +757,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Per-op latency + allocation gates (smoke only: the full run's 1M
-    // tier reports the same numbers without gating).
+    // Per-op latency gates (smoke only: the full run's 1M tier reports
+    // the same numbers without gating).
     if smoke {
         for r in rows.iter().filter(|r| r.p99_ns.is_some()) {
             let bar = match r.workload {
@@ -834,12 +773,6 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-        }
-        if gate_allocs > SMOKE_ALLOC_SLACK {
-            eprintln!(
-                "REGRESSION: {gate_allocs} allocation events across {gate_ops} steady-state refreshes (slack {SMOKE_ALLOC_SLACK}) — the zero-copy refresh path is allocating"
-            );
-            std::process::exit(1);
         }
     }
 

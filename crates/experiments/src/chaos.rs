@@ -3,7 +3,7 @@
 //!
 //! Each scenario builds a seeded [`FaultPlan`], drives the SAP
 //! [`Testbed`] (the real `SessionDirectory` protocol code — poll,
-//! handle_packet, three-phase clash recovery) through it, and reports
+//! on_packet, three-phase clash recovery) through it, and reports
 //! robustness metrics:
 //!
 //! * **partition_heal** — two sides of a healed partition hold the same

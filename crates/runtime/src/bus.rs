@@ -7,22 +7,21 @@
 //! discrete-event testbed, whose directories never hear themselves).
 //!
 //! The bus consults a [`FaultPlan`] per (packet, link): partition
-//! windows, burst loss, crashed recipients, and corruption that must
-//! survive a real [`SapFrame::decode`] to be delivered — the identical
-//! discipline `Testbed::fan_out` applies, so chaos scenarios written
-//! against the simulator run unmodified against the threaded runtime.
-//! Packets mangled beyond recognition still "hit the socket": the
-//! receiving endpoint accumulates a pre-decode drop count which the
-//! driver drains into [`SessionDirectory::note_rx_dropped`] via
-//! [`SapTransport::take_rx_predecode_drops`].
+//! windows, burst loss, crashed recipients, and corruption
+//! ([`corrupt_in_flight`], the step `Testbed` shares), so chaos
+//! scenarios written against the simulator run unmodified against the
+//! threaded runtime.  Packets mangled beyond recognition still "hit the
+//! socket": the receiving endpoint accumulates a pre-decode drop count
+//! which the driver drains into [`SessionDirectory::note_rx_dropped`]
+//! via [`SapTransport::take_rx_predecode_drops`].
 //!
-//! An optional byte trace records every emission as
-//! `time-nanos ‖ node ‖ encoded packet` — the same format as
-//! `Testbed::enable_packet_trace`, which is what the differential test
-//! fingerprints.  With a single agent (no cross-traffic, no shared-RNG
-//! interleaving) the bus is fully deterministic under a
-//! [`crate::VirtualClock`]; with many threads, fault decisions stay
-//! seed-driven but their interleaving follows the scheduler.
+//! An optional byte trace records every emission through
+//! [`trace_emission`], as `Testbed::enable_packet_trace` does, which is
+//! what the differential test fingerprints.  With a single agent (no
+//! cross-traffic, no shared-RNG interleaving) the bus is fully
+//! deterministic under a [`crate::VirtualClock`]; with many threads,
+//! fault decisions stay seed-driven but their interleaving follows the
+//! scheduler.
 //!
 //! [`SessionDirectory::note_rx_dropped`]: sdalloc_sap::SessionDirectory::note_rx_dropped
 
@@ -33,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sdalloc_sap::net::SapTransport;
-use sdalloc_sap::wire::{SapFrame, SapPacket};
+use sdalloc_sap::wire::{corrupt_in_flight, trace_emission, SapPacket};
 use sdalloc_sim::{FaultPlan, SimRng};
 
 use crate::clock::Clock;
@@ -192,18 +191,14 @@ impl SapTransport for BusEndpoint {
     fn send(&self, pkt: &SapPacket) -> io::Result<usize> {
         let shared = &self.shared;
         let now = shared.clock.now();
-        let bytes = pkt.encode();
-        if let Some(t) = lock(&shared.trace).as_mut() {
-            t.extend_from_slice(&now.as_nanos().to_le_bytes());
-            t.push(self.me.node as u8);
-            t.extend_from_slice(&bytes);
-        }
+        let len = pkt.encode().len();
+        trace_emission(&mut lock(&shared.trace), now, self.me.node, pkt);
         shared.sent.fetch_add(1, Ordering::Relaxed);
         if !shared.faults.node_up(now, self.me.node) {
             // A crashed sender's packets go nowhere (the driver should
             // not even be stepping it; this is the backstop).
             shared.dropped_down.fetch_add(1, Ordering::Relaxed);
-            return Ok(bytes.len());
+            return Ok(len);
         }
         let endpoints = lock(&shared.endpoints);
         let mut rng = lock(&shared.rng);
@@ -224,25 +219,14 @@ impl SapTransport for BusEndpoint {
                 shared.dropped_loss.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let mut delivered = pkt.clone();
-            if let Some((p, mode)) = shared.faults.corruption_at(now) {
-                if rng.chance(p) {
-                    let mut mangled = bytes.to_vec();
-                    mode.apply(&mut mangled, &mut rng);
-                    match SapFrame::decode(&mangled) {
-                        Ok(frame) => delivered = frame.to_packet(),
-                        Err(_) => {
-                            // Dead before decode: account it at the
-                            // receiver and wake it so the drop is
-                            // processed promptly.
-                            ep.predecode_drops.fetch_add(1, Ordering::Relaxed);
-                            shared.dropped_corrupt.fetch_add(1, Ordering::Relaxed);
-                            ep.ready.notify_one();
-                            continue;
-                        }
-                    }
-                }
-            }
+            let Some(delivered) = corrupt_in_flight(pkt, &shared.faults, now, &mut rng) else {
+                // Dead before decode: account it at the receiver and
+                // wake it so the drop is processed promptly.
+                ep.predecode_drops.fetch_add(1, Ordering::Relaxed);
+                shared.dropped_corrupt.fetch_add(1, Ordering::Relaxed);
+                ep.ready.notify_one();
+                continue;
+            };
             let mut queue = lock(&ep.queue);
             if queue.len() >= QUEUE_CAPACITY {
                 shared.dropped_full.fetch_add(1, Ordering::Relaxed);
@@ -253,7 +237,7 @@ impl SapTransport for BusEndpoint {
             ep.ready.notify_one();
             shared.delivered.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(bytes.len())
+        Ok(len)
     }
 
     fn recv(&self, timeout: Duration) -> io::Result<Option<SapPacket>> {

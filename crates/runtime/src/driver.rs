@@ -17,6 +17,11 @@
 //! [`Telemetry`] instance (same node/seed identity as the directory's):
 //! the directory's telemetry stream stays byte-comparable with the
 //! simulator's, while the driver layer still gets per-thread counters.
+//!
+//! A threaded agent absorbs transient transport errors under a
+//! [`RetryPolicy`] (jittered exponential backoff); only a persistent
+//! failure run ends the thread, and then the error is surfaced through
+//! [`AgentExit::error`] and the exit dump rather than lost.
 
 use std::io;
 use std::sync::Arc;
@@ -27,7 +32,7 @@ use sdalloc_core::Allocator;
 use sdalloc_sap::net::SapTransport;
 use sdalloc_sap::{CreateError, DirectoryConfig, Media, SessionDirectory};
 use sdalloc_sim::{FaultPlan, SimRng, SimTime};
-use sdalloc_telemetry::{CounterId, Telemetry};
+use sdalloc_telemetry::{CounterId, Severity, Telemetry, NO_ARG};
 
 use crate::clock::{Clock, VirtualClock};
 use crate::snapshot::{SnapshotCadence, SnapshotHandle, SnapshotPublisher, SnapshotStats};
@@ -59,6 +64,57 @@ impl Default for DriverConfig {
     }
 }
 
+/// How a threaded agent reacts to transport errors.
+///
+/// Transient I/O errors (an interface flap, a full socket buffer) should
+/// not kill a long-lived announcer: the worker backs off exponentially
+/// with full jitter and keeps going.  Only `max_consecutive` failures in
+/// a row (or a failure run outliving `max_elapsed`) are treated as
+/// persistent and end the thread.  `max_consecutive: 0` never retries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RetryPolicy {
+    /// Consecutive failures tolerated before giving up.
+    pub max_consecutive: u32,
+    /// First backoff ceiling; doubles each consecutive failure.
+    pub base: Duration,
+    /// Upper bound on the backoff ceiling.
+    pub cap: Duration,
+    /// Total budget, on the driver's clock, for one unbroken failure
+    /// run, measured from the first error of the run.  A run that
+    /// outlives this is terminal even with `max_consecutive` to spare,
+    /// so a permanently dead transport cannot spin the worker forever
+    /// at max backoff.  `None` leaves only the attempt cap.
+    pub max_elapsed: Option<Duration>,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_consecutive: 8,
+            base: Duration::from_millis(10),
+            cap: Duration::from_secs(2),
+            max_elapsed: Some(Duration::from_secs(300)),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Backoff before retry number `attempt` (0-based): uniform in
+    /// `[0, min(cap, base·2^attempt))` — "full jitter", so co-failing
+    /// agents do not retry in lockstep.
+    pub fn backoff(&self, attempt: u32, rng: &mut SimRng) -> Duration {
+        let ceiling = self
+            .base
+            .saturating_mul(2u32.saturating_pow(attempt.min(20)))
+            .min(self.cap);
+        let nanos = ceiling.as_nanos().min(u64::MAX as u128) as u64;
+        if nanos == 0 {
+            return Duration::ZERO;
+        }
+        Duration::from_nanos(rng.below(nanos))
+    }
+}
+
 /// Everything a worker thread hands back when it exits.
 #[derive(Debug)]
 pub struct AgentExit {
@@ -74,7 +130,8 @@ pub struct AgentExit {
     pub flight_dump: String,
     /// Snapshot publication counters.
     pub snapshot_stats: SnapshotStats,
-    /// The I/O error that killed the pump, if it did not exit cleanly.
+    /// The I/O error that exhausted the [`RetryPolicy`] and killed the
+    /// pump, if it did not exit cleanly.
     pub error: Option<String>,
 }
 
@@ -95,6 +152,12 @@ pub struct AgentDriver<T: SapTransport> {
     c_restarts: CounterId,
     c_rx_dropped: CounterId,
     c_commands: CounterId,
+    c_retries: CounterId,
+    c_terminal_failures: CounterId,
+    retry: RetryPolicy,
+    /// Backoff jitter draws from its own stream so a fault never
+    /// perturbs the protocol's.
+    retry_rng: SimRng,
     /// Crash windows emulated by the driver itself (soak scenarios):
     /// while "down" the agent discards traffic and mutates nothing;
     /// coming back up runs [`SessionDirectory::restart`].
@@ -124,13 +187,16 @@ impl<T: SapTransport> AgentDriver<T> {
         let c_restarts = telemetry.counter("runtime.restarts");
         let c_rx_dropped = telemetry.counter("runtime.rx_predecode_dropped");
         let c_commands = telemetry.counter("runtime.commands");
+        let c_retries = telemetry.counter("runtime.retries");
+        let c_terminal_failures = telemetry.counter("runtime.terminal_failures");
+        let rng_seed = seed ^ u64::from(node).rotate_left(32);
         AgentDriver {
             node,
             cfg,
             directory,
             transport,
             clock,
-            rng: SimRng::new(seed ^ u64::from(node).rotate_left(32)),
+            rng: SimRng::new(rng_seed),
             publisher: SnapshotPublisher::new(cfg.cadence),
             telemetry,
             c_steps,
@@ -140,6 +206,10 @@ impl<T: SapTransport> AgentDriver<T> {
             c_restarts,
             c_rx_dropped,
             c_commands,
+            c_retries,
+            c_terminal_failures,
+            retry: RetryPolicy::default(),
+            retry_rng: SimRng::new(rng_seed ^ RETRY_STREAM),
             faults: None,
             crashed: false,
         }
@@ -149,6 +219,13 @@ impl<T: SapTransport> AgentDriver<T> {
     /// crash windows are consulted here; link faults belong to the bus.
     pub fn with_faults(mut self, plan: FaultPlan) -> AgentDriver<T> {
         self.faults = Some(plan);
+        self
+    }
+
+    /// Replace the retry policy a threaded agent applies (builder
+    /// style).
+    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> AgentDriver<T> {
+        self.retry = retry;
         self
     }
 
@@ -341,19 +418,59 @@ impl<T: SapTransport> AgentDriver<T> {
         Ok(())
     }
 
+    /// Account one failed pump turn, the `consecutive`-th in a row of
+    /// a failure run that began at `since`.  Returns the jittered pause
+    /// before the next attempt, or `None` when the run is terminal.
+    /// Counters go to the driver's telemetry; the event goes to the
+    /// directory's flight recorder, in order with the protocol activity
+    /// that preceded the fault.
+    fn absorb_failure(&mut self, consecutive: u32, since: SimTime) -> Option<Duration> {
+        let now = self.clock.now();
+        let out_of_time = self.retry.max_elapsed.is_some_and(|budget| {
+            u128::from(now.saturating_since(since).as_nanos()) >= budget.as_nanos()
+        });
+        let terminal = consecutive >= self.retry.max_consecutive || out_of_time;
+        let (counter, severity, name) = if terminal {
+            (
+                self.c_terminal_failures,
+                Severity::Error,
+                "terminal_failure",
+            )
+        } else {
+            (self.c_retries, Severity::Warn, "retry")
+        };
+        self.telemetry.inc(counter);
+        self.directory.telemetry_mut().record(
+            now.as_nanos(),
+            severity,
+            "net",
+            name,
+            [("attempt", u64::from(consecutive)), NO_ARG, NO_ARG],
+        );
+        (!terminal).then(|| self.retry.backoff(consecutive, &mut self.retry_rng))
+    }
+
     /// Consume the driver into its exit report.
     pub fn into_exit(self, error: Option<String>) -> AgentExit {
+        let reason = match &error {
+            Some(e) => format!("agent pump terminated: {e}"),
+            None => "runtime agent exit".to_string(),
+        };
         AgentExit {
             node: self.node,
             cached_sessions: self.directory.cached_sessions(),
             directory_telemetry: self.directory.telemetry_snapshot_json(),
             runtime_telemetry: self.telemetry.snapshot_json(),
-            flight_dump: self.directory.flight_dump_json("runtime agent exit"),
+            flight_dump: self.directory.flight_dump_json(&reason),
             snapshot_stats: self.publisher.stats(),
             error,
         }
     }
 }
+
+/// Seed offset separating the backoff-jitter stream from the protocol
+/// stream of the same agent.
+const RETRY_STREAM: u64 = 0x5245_5452_595f_524e;
 
 /// Commands a threaded agent accepts.
 enum Command {
@@ -401,13 +518,13 @@ impl Runtime {
         T: SapTransport + 'static,
     {
         let mut workers = Vec::with_capacity(drivers.len());
-        for mut driver in drivers {
+        for driver in drivers {
             let node = driver.node;
             let snapshots = driver.snapshot_handle();
             let (cmd_tx, cmd_rx): (Sender<Command>, Receiver<Command>) = bounded(16);
             let spawned = std::thread::Builder::new()
                 .name(format!("sd-agent-{node}"))
-                .spawn(move || worker_loop(&mut driver, &cmd_rx))
+                .spawn(move || worker_loop(driver, &cmd_rx))
                 .map(|t| Worker {
                     node,
                     cmd: cmd_tx,
@@ -458,8 +575,8 @@ impl Runtime {
                 media,
                 reply: reply_tx,
             })
-            .map_err(|_| CreateError::SpaceFull)?;
-        reply_rx.recv().unwrap_or(Err(CreateError::SpaceFull))
+            .map_err(|_| CreateError::AgentNotRunning)?;
+        reply_rx.recv().unwrap_or(Err(CreateError::AgentNotRunning))
     }
 
     /// Withdraw a session on a running agent (fire and forget).
@@ -498,13 +615,16 @@ impl Runtime {
     }
 }
 
-/// The worker thread body: serve commands, pump the driver, report.
+/// The worker thread body: serve commands, pump the driver, absorb
+/// transient transport errors under the retry policy, report.
 fn worker_loop<T: SapTransport>(
-    driver: &mut AgentDriver<T>,
+    mut driver: AgentDriver<T>,
     cmd_rx: &Receiver<Command>,
 ) -> AgentExit {
+    let mut consecutive: u32 = 0;
+    let mut failing_since: Option<SimTime> = None;
     let error = loop {
-        match cmd_rx.try_recv() {
+        let served = match cmd_rx.try_recv() {
             Ok(Command::Stop) | Err(TryRecvError::Disconnected) => break None,
             Ok(Command::Create {
                 name,
@@ -514,38 +634,327 @@ fn worker_loop<T: SapTransport>(
             }) => {
                 driver.telemetry.inc(driver.c_commands);
                 let _ = reply.send(driver.create_session(&name, ttl, media));
+                Ok(())
             }
             Ok(Command::Withdraw { id }) => {
                 driver.telemetry.inc(driver.c_commands);
-                if let Err(e) = driver.withdraw_session(id) {
-                    break Some(e.to_string());
-                }
+                driver.withdraw_session(id)
             }
             Ok(Command::Publish) => {
                 driver.telemetry.inc(driver.c_commands);
                 driver.publish_now();
+                Ok(())
             }
-            Err(TryRecvError::Empty) => {}
-        }
-        if let Err(e) = driver.step() {
-            break Some(e.to_string());
+            Err(TryRecvError::Empty) => Ok(()),
+        };
+        match served.and_then(|()| driver.step()) {
+            Ok(()) => {
+                consecutive = 0;
+                failing_since = None;
+            }
+            Err(e) => {
+                let since = *failing_since.get_or_insert_with(|| driver.clock.now());
+                match driver.absorb_failure(consecutive, since) {
+                    Some(pause) => std::thread::sleep(pause),
+                    None => break Some(e.to_string()),
+                }
+                consecutive += 1;
+            }
         }
     };
     // One last snapshot so readers see the final state.
     driver.publish_now();
-    driver_exit(driver, error)
+    driver.into_exit(error)
 }
 
-/// Build an exit report from a borrowed driver (the thread owns it but
-/// the loop only has `&mut`).
-fn driver_exit<T: SapTransport>(driver: &mut AgentDriver<T>, error: Option<String>) -> AgentExit {
-    AgentExit {
-        node: driver.node,
-        cached_sessions: driver.directory.cached_sessions(),
-        directory_telemetry: driver.directory.telemetry_snapshot_json(),
-        runtime_telemetry: driver.telemetry.snapshot_json(),
-        flight_dump: driver.directory.flight_dump_json("runtime agent exit"),
-        snapshot_stats: driver.publisher.stats(),
-        error,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::WallClock;
+    use sdalloc_core::{AddrSpace, InformedRandomAllocator};
+    use sdalloc_sap::{SapPacket, SapSocket};
+    use std::net::Ipv4Addr;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn media() -> Vec<Media> {
+        vec![Media {
+            kind: "audio".into(),
+            port: 5004,
+            proto: "RTP/AVP".into(),
+            format: 0,
+        }]
+    }
+
+    fn driver<T: SapTransport>(host: u8, seed: u64, transport: T) -> AgentDriver<T> {
+        let mut cfg = DirectoryConfig::new(Ipv4Addr::new(127, 0, 0, host));
+        cfg.space = AddrSpace::abstract_space(64);
+        let knobs = DriverConfig {
+            idle_wait: Duration::from_millis(20),
+            ..DriverConfig::default()
+        };
+        AgentDriver::new(
+            0,
+            seed,
+            cfg,
+            Box::new(InformedRandomAllocator),
+            transport,
+            Arc::new(WallClock::new()),
+            knobs,
+        )
+    }
+
+    /// Value of counter `name` in a telemetry snapshot (0 if absent).
+    fn counter(json: &str, name: &str) -> u64 {
+        let needle = format!("\"{name}\": ");
+        let Some(at) = json.find(&needle) else {
+            return 0;
+        };
+        json[at + needle.len()..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .and_then(|digits| digits.parse().ok())
+            .unwrap_or(0)
+    }
+
+    /// A transport that fails its first `failures` operations with a
+    /// transient error, then behaves as an idle (packet-less) link.
+    struct FlakyTransport {
+        failures: Arc<AtomicUsize>,
+    }
+
+    impl FlakyTransport {
+        fn trip(&self) -> io::Result<()> {
+            self.failures
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .map_or(Ok(()), |_| {
+                    Err(io::Error::other("injected transport fault"))
+                })
+        }
+    }
+
+    impl SapTransport for FlakyTransport {
+        fn send(&self, _pkt: &SapPacket) -> io::Result<usize> {
+            self.trip()?;
+            Ok(0)
+        }
+
+        fn recv(&self, timeout: Duration) -> io::Result<Option<SapPacket>> {
+            self.trip()?;
+            std::thread::sleep(timeout.min(Duration::from_millis(2)));
+            Ok(None)
+        }
+    }
+
+    /// A driver over a link with `failures` faults left, plus a view of
+    /// that budget.
+    fn flaky(failures: usize, seed: u64) -> (AgentDriver<FlakyTransport>, Arc<AtomicUsize>) {
+        let left = Arc::new(AtomicUsize::new(failures));
+        let transport = FlakyTransport {
+            failures: Arc::clone(&left),
+        };
+        (driver(8, seed, transport), left)
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        for _ in 0..2_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    /// Block until the agent thread has exited on its own: from then on
+    /// its command channel answers `AgentNotRunning`.
+    fn wait_until_dead(rt: &Runtime) {
+        wait_for("the agent to give up", || {
+            rt.create_session(0, "probe", 1, media()) == Err(CreateError::AgentNotRunning)
+        });
+    }
+
+    #[test]
+    fn agent_dies_on_first_fault_without_retry() {
+        let policy = RetryPolicy {
+            max_consecutive: 0,
+            ..RetryPolicy::default()
+        };
+        let (d, _) = flaky(usize::MAX, 7);
+        let rt = Runtime::spawn(vec![d.with_retry_policy(policy)]).unwrap();
+        wait_until_dead(&rt);
+        // A dead agent says so instead of claiming the space is full.
+        assert_eq!(
+            rt.create_session(0, "late", 1, media()),
+            Err(CreateError::AgentNotRunning)
+        );
+        let exit = rt.shutdown().remove(0);
+        let msg = exit
+            .error
+            .expect("max_consecutive: 0 dies on the first error");
+        assert!(msg.contains("injected"), "error surfaced verbatim: {msg}");
+        assert_eq!(counter(&exit.runtime_telemetry, "runtime.retries"), 0);
+        assert_eq!(
+            counter(&exit.runtime_telemetry, "runtime.terminal_failures"),
+            1
+        );
+    }
+
+    #[test]
+    fn agent_survives_transient_faults_with_retry() {
+        // Five consecutive failures, then a healthy link: well inside
+        // the default policy's tolerance of eight.
+        let (d, left) = flaky(5, 8);
+        let rt = Runtime::spawn(vec![d]).unwrap();
+        wait_for("the faults to be absorbed", || {
+            left.load(Ordering::SeqCst) == 0
+        });
+        let id = rt
+            .create_session(0, "resilient", 1, media())
+            .expect("agent still serving commands after transient faults");
+        assert!(id >= 1);
+        let exit = rt.shutdown().remove(0);
+        assert_eq!(exit.error, None, "pump must not have died");
+        assert_eq!(counter(&exit.runtime_telemetry, "runtime.retries"), 5);
+        assert_eq!(
+            counter(&exit.runtime_telemetry, "runtime.terminal_failures"),
+            0
+        );
+        // The driver's counters live in its own telemetry: the
+        // directory's stays what the simulator's would be.
+        assert!(
+            !exit.directory_telemetry.contains("retries")
+                && !exit.directory_telemetry.contains("terminal_failures"),
+            "{}",
+            exit.directory_telemetry
+        );
+    }
+
+    #[test]
+    fn agent_gives_up_after_persistent_faults() {
+        // An always-failing link exhausts max_consecutive and surfaces
+        // the terminal error.
+        let policy = RetryPolicy {
+            base: Duration::from_micros(100),
+            max_consecutive: 3,
+            ..RetryPolicy::default()
+        };
+        let (d, _) = flaky(usize::MAX, 9);
+        let rt = Runtime::spawn(vec![d.with_retry_policy(policy)]).unwrap();
+        wait_until_dead(&rt);
+        let exit = rt.shutdown().remove(0);
+        let msg = exit.error.expect("persistent failure must terminate");
+        assert!(msg.contains("injected"), "error surfaced verbatim: {msg}");
+        assert_eq!(counter(&exit.runtime_telemetry, "runtime.retries"), 3);
+        assert_eq!(
+            counter(&exit.runtime_telemetry, "runtime.terminal_failures"),
+            1
+        );
+        // The exit dump is the post-mortem: the retries and the
+        // terminal failure sit in the flight recorder.
+        let dump = exit.flight_dump;
+        assert!(dump.contains("\"flight_recorder\": true"), "{dump}");
+        assert!(dump.contains("agent pump terminated"), "{dump}");
+        assert!(dump.contains("\"name\": \"retry\""), "{dump}");
+        assert!(dump.contains("\"name\": \"terminal_failure\""), "{dump}");
+    }
+
+    #[test]
+    fn agent_hits_retry_elapsed_budget() {
+        // A permanently dead transport with an effectively unlimited
+        // attempt budget still terminates once the elapsed-time budget
+        // for the failure run is spent.
+        let policy = RetryPolicy {
+            base: Duration::from_micros(100),
+            cap: Duration::from_millis(1),
+            max_consecutive: u32::MAX,
+            max_elapsed: Some(Duration::from_millis(25)),
+        };
+        let (d, _) = flaky(usize::MAX, 10);
+        let rt = Runtime::spawn(vec![d.with_retry_policy(policy)]).unwrap();
+        wait_until_dead(&rt);
+        let exit = rt.shutdown().remove(0);
+        assert!(exit.error.is_some(), "elapsed budget must terminate");
+        assert!(counter(&exit.runtime_telemetry, "runtime.retries") >= 1);
+        assert!(
+            exit.flight_dump.contains("\"name\": \"terminal_failure\""),
+            "{}",
+            exit.flight_dump
+        );
+    }
+
+    #[test]
+    fn backoff_is_bounded_and_jittered() {
+        let policy = RetryPolicy::default();
+        let mut rng = SimRng::new(10);
+        for attempt in 0..64 {
+            let d = policy.backoff(attempt, &mut rng);
+            let ceiling = policy
+                .base
+                .saturating_mul(2u32.saturating_pow(attempt.min(20)))
+                .min(policy.cap);
+            assert!(d < ceiling.max(Duration::from_nanos(1)));
+        }
+        // Jitter: two agents with different seeds diverge.
+        let mut a = SimRng::new(11);
+        let mut b = SimRng::new(12);
+        let diverged = (0..8).any(|n| policy.backoff(n, &mut a) != policy.backoff(n, &mut b));
+        assert!(diverged, "backoff must be jittered per-agent");
+    }
+
+    /// Multicast may be unavailable in sandboxes; skip gracefully.
+    fn try_socket(port: u16) -> Option<SapSocket> {
+        match SapSocket::open(Ipv4Addr::new(239, 195, 255, 253), port, 1) {
+            Ok(s) => Some(s),
+            Err(e) => {
+                eprintln!("skipping multicast test: {e}");
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn two_agents_over_loopback() {
+        let Some(sock_a) = try_socket(29876) else {
+            return;
+        };
+        let Some(sock_b) = try_socket(29876) else {
+            eprintln!("(cannot open a second socket: no SO_REUSEADDR?)");
+            return;
+        };
+        let mut a = driver(1, 1, sock_a);
+        let mut b = driver(2, 2, sock_b);
+        a.create_session("from-a", 1, media()).unwrap();
+        for _ in 0..50 {
+            a.step().unwrap();
+            b.step().unwrap();
+            if b.directory().cached_sessions() > 0 {
+                break;
+            }
+        }
+        if b.directory().cached_sessions() == 0 {
+            eprintln!("skipping assertion: multicast delivery unavailable");
+            return;
+        }
+        assert_eq!(b.directory().cached_sessions(), 1);
+    }
+
+    #[test]
+    fn spawned_agent_responds_to_commands() {
+        let Some(sock) = try_socket(29877) else {
+            return;
+        };
+        let rt = Runtime::spawn(vec![driver(9, 3, sock)]).unwrap();
+        let id = rt.create_session(0, "bg", 1, media()).unwrap();
+        assert!(id >= 1);
+        std::thread::sleep(Duration::from_millis(250));
+        rt.withdraw(0, id);
+        let exit = rt.shutdown().remove(0);
+        assert_eq!(exit.error, None);
+        let sent = counter(&exit.runtime_telemetry, "runtime.tx");
+        assert!(
+            sent >= 1,
+            "no announcement sent: {}",
+            exit.runtime_telemetry
+        );
     }
 }

@@ -41,7 +41,7 @@ pub mod soak;
 
 pub use bus::{BusEndpoint, BusStats, LoopbackBus};
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use driver::{AgentDriver, AgentExit, DriverConfig, Runtime};
+pub use driver::{AgentDriver, AgentExit, DriverConfig, RetryPolicy, Runtime};
 pub use snapshot::{
     DirectorySnapshot, SessionRow, SnapshotCadence, SnapshotHandle, SnapshotPublisher,
     SnapshotReader, SnapshotStats,

@@ -225,32 +225,6 @@ impl<'a> EntryRef<'a> {
                 .collect(),
         }
     }
-
-    /// Materialize an owned [`CacheEntry`] (description plus heard
-    /// bookkeeping).
-    pub fn to_entry(&self) -> CacheEntry {
-        CacheEntry {
-            desc: self.desc(),
-            first_heard: self.rec.first_heard,
-            last_heard: self.rec.last_heard,
-            announcements: self.rec.announcements,
-        }
-    }
-}
-
-/// An owned cached announcement — the materialized form returned by
-/// removal paths ([`AnnouncementCache::evict`]) and
-/// [`EntryRef::to_entry`].
-#[derive(Debug, Clone)]
-pub struct CacheEntry {
-    /// The most recent session description heard.
-    pub desc: SessionDescription,
-    /// When this session was first heard.
-    pub first_heard: SimTime,
-    /// When this session was last heard.
-    pub last_heard: SimTime,
-    /// Number of announcements received.
-    pub announcements: u64,
 }
 
 /// Outcome of feeding an announcement to the cache.
@@ -622,23 +596,12 @@ impl AnnouncementCache {
         true
     }
 
-    /// Remove one entry by key, maintaining every index; returns the
-    /// removed entry, materialized.  The governor's eviction tiers call
+    /// Remove one entry by key, maintaining every index; returns
+    /// whether an entry was removed.  The governor's eviction tiers call
     /// this with a victim chosen by [`Self::oldest_entry`],
     /// [`Self::oldest_unverified`] or [`Self::quota_violator`].
-    pub fn evict(&mut self, key: CacheKey) -> Option<CacheEntry> {
-        let id = self.ids.remove(&key)?;
-        let rec = self.arena.remove(id)?;
-        self.index_remove(key, rec.group, rec.ttl);
-        self.forget_record(key, &rec);
-        let entry = EntryRef {
-            rec: &rec,
-            strings: &self.strings,
-        }
-        .to_entry();
-        self.release_record(rec);
-        // The expiry slot is discarded lazily.
-        Some(entry)
+    pub fn evict(&mut self, key: CacheKey) -> bool {
+        self.observe_delete(key.origin, key.session_id)
     }
 
     /// Top (oldest) expiry slot of `band`, if any.  Checked access, so
@@ -1362,12 +1325,35 @@ mod tests {
             })
         );
         assert_eq!(c.quota_violator(3), None);
-        // Eviction unwinds every index.
+        // Eviction unwinds every index and digest: the cache is
+        // indistinguishable from one that never admitted the victim.
         let victim = c.quota_violator(2).unwrap();
-        assert!(c.evict(victim).is_some());
-        assert!(c.evict(victim).is_none());
+        let victim_group = Ipv4Addr::new(224, 2, 128, 1);
+        let handle = c.handle_of(victim.origin, victim.session_id).unwrap();
+        assert!(c.group_in_use(victim_group));
+        assert!(c.evict(victim));
+        assert!(!c.evict(victim), "second eviction finds nothing");
+        assert_eq!(c.len(), 3);
+        assert!(c.get(victim.origin, victim.session_id).is_none());
+        assert!(c.resolve(handle).is_none(), "handle outlived its record");
+        assert!(!c.group_in_use(victim_group));
+        assert_eq!(c.users_of(victim_group).count(), 0);
         assert_eq!(c.origin_count(Ipv4Addr::new(10, 0, 0, 1)), 2);
         assert_eq!(c.quota_violator(2), None);
+        assert_eq!(
+            c.oldest_unverified(),
+            Some(CacheKey {
+                origin: Ipv4Addr::new(10, 0, 0, 1),
+                session_id: 2
+            }),
+            "the evicted (unverified) victim left the unverified tier"
+        );
+        let mut never = AnnouncementCache::new(SimDuration::from_secs(3600));
+        never.observe_announce(t(0), desc([10, 0, 0, 1], 0, 1, [224, 2, 128, 0], 63));
+        never.observe_announce(t(2), desc([10, 0, 0, 1], 2, 1, [224, 2, 128, 2], 63));
+        never.observe_announce(t(9), desc([10, 0, 0, 2], 0, 1, [224, 2, 129, 0], 63));
+        assert_eq!(c.digest(), never.digest());
+        assert_eq!(c.shard_digest(3), never.shard_digest(3));
     }
 
     #[test]
@@ -1443,8 +1429,6 @@ mod tests {
         assert_eq!(e.desc(), d);
         assert_eq!(e.name(), "s1");
         assert_eq!(e.version(), 3);
-        let entry = e.to_entry();
-        assert_eq!(entry.desc, d);
-        assert_eq!(entry.announcements, 1);
+        assert_eq!(e.announcements(), 1);
     }
 }

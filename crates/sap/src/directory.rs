@@ -186,12 +186,16 @@ pub struct OwnSession {
 pub enum CreateError {
     /// The allocator found no free address for this TTL.
     SpaceFull,
+    /// The agent thread that owns the directory has exited (terminal
+    /// transport failure or shutdown), so nothing served the request.
+    AgentNotRunning,
 }
 
 impl std::fmt::Display for CreateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CreateError::SpaceFull => write!(f, "no free multicast address for this scope"),
+            CreateError::AgentNotRunning => write!(f, "the directory's agent is not running"),
         }
     }
 }
@@ -464,8 +468,9 @@ impl SessionDirectory {
         &self.telemetry
     }
 
-    /// Mutable access to the telemetry bundle, e.g. so transports
-    /// ([`crate::net`]) can register and record their own events.
+    /// Mutable access to the telemetry bundle, so the layer driving
+    /// this directory can file its own events (transport retries, a
+    /// terminal failure) in the same flight recorder.
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.telemetry
     }
@@ -1160,8 +1165,14 @@ impl SessionDirectory {
     /// deadlines is guaranteed by the queue.
     pub fn pop_due_timer(&mut self, now: SimTime) -> Option<TimerKind> {
         let (_, kind) = self.timers.pop_due(now)?;
-        // The popped token is consumed; clear the matching bookkeeping
-        // so `on_timer` doesn't cancel a successor it didn't schedule.
+        self.forget_consumed_token(kind);
+        Some(kind)
+    }
+
+    /// The queue has handed out `kind`'s token (popped or drained), so
+    /// it is consumed: clear the matching bookkeeping so `on_timer`
+    /// doesn't cancel a successor it didn't schedule.
+    fn forget_consumed_token(&mut self, kind: TimerKind) {
         match kind {
             TimerKind::Announce(id) => {
                 self.announce_timers.remove(&id);
@@ -1170,7 +1181,6 @@ impl SessionDirectory {
             TimerKind::Defence => self.defence_timer = None,
             TimerKind::Reconcile => self.recon_timer = None,
         }
-        Some(kind)
     }
 
     /// Advance time: emit due announcements, fire expired third-party
@@ -1189,17 +1199,7 @@ impl SessionDirectory {
                 break;
             }
             for &(_, kind) in &due {
-                // Same bookkeeping as `pop_due_timer`: the drained token
-                // is consumed, so `on_timer` must not cancel a successor
-                // it didn't schedule.
-                match kind {
-                    TimerKind::Announce(id) => {
-                        self.announce_timers.remove(&id);
-                    }
-                    TimerKind::CacheExpiry => self.cache_timer = None,
-                    TimerKind::Defence => self.defence_timer = None,
-                    TimerKind::Reconcile => self.recon_timer = None,
-                }
+                self.forget_consumed_token(kind);
                 out.append(&mut self.on_timer(now, kind));
             }
         }
@@ -1208,8 +1208,8 @@ impl SessionDirectory {
         out
     }
 
-    /// Drain events produced outside [`Self::handle_packet`] (degraded
-    /// allocations, restart notices).  `handle_packet` drains these into
+    /// Drain events produced outside [`Self::on_packet`] (degraded
+    /// allocations, restart notices).  `on_packet` drains these into
     /// its own event list automatically; callers that only use
     /// [`Self::create_session`]/[`Self::poll`] should collect them here.
     pub fn take_events(&mut self) -> Vec<DirectoryEvent> {
@@ -1287,16 +1287,6 @@ impl SessionDirectory {
     /// entries on the way.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
         self.timers.next_deadline()
-    }
-
-    /// The next instant at which [`Self::poll`] has work to do.  Compat
-    /// accessor taking `&self`: may be conservatively early when a
-    /// cancelled timer (e.g. a withdrawn session's announce) has not yet
-    /// surfaced in the queue — an early poll finds nothing due and is a
-    /// no-op.  Prefer [`Self::next_deadline`] where `&mut self` is
-    /// available.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.timers.peek_deadline()
     }
 
     /// Process one received SAP packet.  Returns packets to send in
@@ -1530,17 +1520,6 @@ impl SessionDirectory {
         (out, events)
     }
 
-    /// Compat alias for [`Self::on_packet`], kept so pre-refactor
-    /// callers and tests read unchanged.
-    pub fn handle_packet(
-        &mut self,
-        now: SimTime,
-        pkt: &SapPacket,
-        rng: &mut SimRng,
-    ) -> (Vec<SapPacket>, Vec<DirectoryEvent>) {
-        self.on_packet(now, pkt, rng)
-    }
-
     /// The ids of our own sessions announcing on `group` — the
     /// candidates a clashing announcement forces us to defend or move.
     /// The snapshot decouples the defence loop from the session-map
@@ -1657,7 +1636,7 @@ mod tests {
         a.create_session(t(0), "a", 63, media(), &mut rng).unwrap();
         let pkts = a.poll(t(0));
         // b hears a's announcement before allocating.
-        b.handle_packet(t(0), &pkts[0], &mut rng);
+        b.on_packet(t(0), &pkts[0], &mut rng);
         assert_eq!(b.cached_sessions(), 1);
         b.create_session(t(1), "b", 63, media(), &mut rng).unwrap();
         let ga: Vec<Ipv4Addr> = a.own_sessions().map(|(_, s)| s.desc.group).collect();
@@ -1696,7 +1675,7 @@ mod tests {
         };
         let payload = competing.format();
         let pkt = SapPacket::announce(competing.origin.address, msg_id_hash(&payload), payload);
-        let (replies, events) = a.handle_packet(t(2), &pkt, &mut rng);
+        let (replies, events) = a.on_packet(t(2), &pkt, &mut rng);
         // a announced at t=0, clash at t=2 (inside the recent window):
         // phase 2 → move.
         assert!(events
@@ -1734,7 +1713,7 @@ mod tests {
         let payload = competing.format();
         let pkt = SapPacket::announce(competing.origin.address, msg_id_hash(&payload), payload);
         // Clash arrives long after our announcement: phase 1, defend.
-        let (replies, events) = a.handle_packet(t(5_000), &pkt, &mut rng);
+        let (replies, events) = a.on_packet(t(5_000), &pkt, &mut rng);
         assert!(events.iter().any(|e| matches!(
             e,
             DirectoryEvent::Clash {
@@ -1769,7 +1748,7 @@ mod tests {
             media: media(),
         };
         let pa = a_desc.format();
-        c.handle_packet(
+        c.on_packet(
             t(0),
             &SapPacket::announce(a_desc.origin.address, msg_id_hash(&pa), pa),
             &mut rng,
@@ -1791,7 +1770,7 @@ mod tests {
             media: media(),
         };
         let pb = b_desc.format();
-        let (_, events) = c.handle_packet(
+        let (_, events) = c.on_packet(
             t(100),
             &SapPacket::announce(b_desc.origin.address, msg_id_hash(&pb), pb),
             &mut rng,
@@ -1804,7 +1783,7 @@ mod tests {
             }
         )));
         // Nothing before the deadline...
-        let deadline = c.next_wakeup().unwrap();
+        let deadline = c.next_deadline().unwrap();
         assert!(c.poll(deadline - SimDuration::from_nanos(1)).is_empty());
         // ...then c re-announces A's session on its behalf.
         let fired = c.poll(deadline);
@@ -1837,10 +1816,10 @@ mod tests {
             let p = d.format();
             SapPacket::announce(d.origin.address, msg_id_hash(&p), p)
         };
-        c.handle_packet(t(0), &make([10, 0, 0, 1], 1, "a"), &mut rng);
-        c.handle_packet(t(100), &make([10, 0, 0, 2], 2, "b"), &mut rng);
+        c.on_packet(t(0), &make([10, 0, 0, 1], 1, "a"), &mut rng);
+        c.on_packet(t(100), &make([10, 0, 0, 2], 2, "b"), &mut rng);
         // Originator A defends itself before our timer fires.
-        c.handle_packet(t(101), &make([10, 0, 0, 1], 1, "a"), &mut rng);
+        c.on_packet(t(101), &make([10, 0, 0, 1], 1, "a"), &mut rng);
         // Our pending defence of A is suppressed: nothing we ever emit
         // re-announces A's session on its behalf.  (A's own t=101
         // re-announcement clashed against cached incumbent B, so a
@@ -1876,10 +1855,10 @@ mod tests {
         let mut rng = SimRng::new(9);
         let id = a.create_session(t(0), "s", 63, media(), &mut rng).unwrap();
         let ann = a.poll(t(0));
-        b.handle_packet(t(0), &ann[0], &mut rng);
+        b.on_packet(t(0), &ann[0], &mut rng);
         assert_eq!(b.cached_sessions(), 1);
         let del = a.withdraw_session(id).unwrap();
-        b.handle_packet(t(1), &del, &mut rng);
+        b.on_packet(t(1), &del, &mut rng);
         assert_eq!(b.cached_sessions(), 0);
     }
 
@@ -1968,7 +1947,7 @@ mod tests {
             media: vec![],
         };
         let p = remote.format();
-        d.handle_packet(
+        d.on_packet(
             t(0),
             &SapPacket::announce(remote.origin.address, msg_id_hash(&p), p),
             &mut rng,
@@ -2007,7 +1986,7 @@ mod tests {
             media: vec![],
         };
         let p = remote.format();
-        d.handle_packet(
+        d.on_packet(
             t(80),
             &SapPacket::announce(remote.origin.address, msg_id_hash(&p), p),
             &mut rng,
@@ -2017,10 +1996,10 @@ mod tests {
         d.restart(t(100));
         assert_eq!(d.cached_sessions(), 0, "cache lost on restart");
         // Own session survives and re-enters the fast phase at t=100.
-        assert_eq!(d.next_wakeup(), Some(t(100)));
+        assert_eq!(d.next_deadline(), Some(t(100)));
         let pkts = d.poll(t(100));
         assert_eq!(pkts.len(), 1, "immediate re-announcement after restart");
-        assert_eq!(d.next_wakeup(), Some(t(105)), "fast-phase interval");
+        assert_eq!(d.next_deadline(), Some(t(105)), "fast-phase interval");
     }
 
     #[test]
@@ -2062,9 +2041,9 @@ mod tests {
             };
             d.cache_observe_for_test(t(now), desc);
         }
-        let before = d.next_wakeup().unwrap();
+        let before = d.next_deadline().unwrap();
         d.poll(before);
-        let after = d.next_wakeup().unwrap();
+        let after = d.next_deadline().unwrap();
         let interval = after.saturating_since(before);
         assert!(
             interval > d.config().schedule.cap,
@@ -2098,7 +2077,7 @@ mod tests {
             media: vec![],
         };
         let p = remote.format();
-        d.handle_packet(
+        d.on_packet(
             t(0),
             &SapPacket::announce(remote.origin.address, msg_id_hash(&p), p),
             &mut rng,
@@ -2143,15 +2122,15 @@ mod tests {
         };
         let g1 = Ipv4Addr::new(224, 2, 128, 1);
         let g2 = Ipv4Addr::new(224, 2, 128, 2);
-        b.handle_packet(t(0), &make(1, g1), &mut rng);
-        let (_, events) = b.handle_packet(t(10), &make(2, g2), &mut rng);
+        b.on_packet(t(0), &make(1, g1), &mut rng);
+        let (_, events) = b.on_packet(t(10), &make(2, g2), &mut rng);
         assert!(events.contains(&DirectoryEvent::Heard(CacheUpdate::Modified)));
         assert_eq!(b.cached_sessions(), 1);
         let view = b.current_view();
         assert_eq!(view.len(), 1);
         assert_eq!(b.config().space.ip(view[0].addr), g2);
         // A stale re-announcement of the old version is ignored.
-        let (_, events) = b.handle_packet(t(20), &make(1, g1), &mut rng);
+        let (_, events) = b.on_packet(t(20), &make(1, g1), &mut rng);
         assert!(events.contains(&DirectoryEvent::Heard(CacheUpdate::Stale)));
         let view = b.current_view();
         assert_eq!(b.config().space.ip(view[0].addr), g2);
@@ -2170,7 +2149,7 @@ mod tests {
         assert_eq!(pkts.len(), 1);
         // Re-anchored: the send consumed interval_after(0) = 5 s, so the
         // next deadline is now + 5 rather than the stale t = 5 slot.
-        assert_eq!(d.next_wakeup(), Some(t(40)));
+        assert_eq!(d.next_deadline(), Some(t(40)));
         assert_eq!(d.poll(t(39)).len(), 0);
         assert_eq!(d.poll(t(40)).len(), 1);
     }
@@ -2258,8 +2237,8 @@ mod tests {
         };
         let p = remote.format();
         let pkt = SapPacket::announce(remote.origin.address, msg_id_hash(&p), p);
-        d.handle_packet(t(6), &pkt, &mut rng);
-        d.handle_packet(t(7), &pkt, &mut rng);
+        d.on_packet(t(6), &pkt, &mut rng);
+        d.on_packet(t(7), &pkt, &mut rng);
         d.withdraw_session(id);
         let snap = d.telemetry_snapshot_json();
         let m = &d.telemetry().metrics;
@@ -2315,7 +2294,7 @@ mod tests {
         };
         let payload = competing.format();
         let pkt = SapPacket::announce(competing.origin.address, msg_id_hash(&payload), payload);
-        a.handle_packet(t(5_000), &pkt, &mut rng); // phase-1 defence
+        a.on_packet(t(5_000), &pkt, &mut rng); // phase-1 defence
         a.restart(t(6_000));
         let snap = a.telemetry_snapshot_json();
         assert!(
@@ -2328,14 +2307,14 @@ mod tests {
     }
 
     #[test]
-    fn next_wakeup_tracks_schedule() {
+    fn next_deadline_tracks_schedule() {
         let mut d = directory([10, 0, 0, 1]);
         let mut rng = SimRng::new(11);
-        assert_eq!(d.next_wakeup(), None);
+        assert_eq!(d.next_deadline(), None);
         d.create_session(t(10), "s", 63, media(), &mut rng).unwrap();
-        assert_eq!(d.next_wakeup(), Some(t(10)));
+        assert_eq!(d.next_deadline(), Some(t(10)));
         d.poll(t(10));
-        assert_eq!(d.next_wakeup(), Some(t(15)));
+        assert_eq!(d.next_deadline(), Some(t(15)));
     }
 
     fn remote_desc(origin: [u8; 4], sid: u64, group: [u8; 4]) -> SessionDescription {
@@ -2379,7 +2358,7 @@ mod tests {
             b.create_session(t(0), "s", 63, media(), &mut rng).unwrap();
         }
         for pkt in b.poll(t(0)) {
-            a.handle_packet(t(1), &pkt, &mut rng);
+            a.on_packet(t(1), &pkt, &mut rng);
         }
         assert_eq!(a.cached_sessions(), 3);
 
@@ -2393,13 +2372,13 @@ mod tests {
         let opener = a.poll(t(100));
         assert_eq!(opener.len(), 1, "restart opens with one digest");
         // Round 2: the live peer replies with a request + its digest.
-        let (reply, _) = b.handle_packet(t(100), &opener[0], &mut rng);
+        let (reply, _) = b.on_packet(t(100), &opener[0], &mut rng);
         assert_eq!(reply.len(), 2, "peer sends request + digest");
         // Round 3: our diff against the peer digest requests the
         // missing buckets.
         let mut fetch = Vec::new();
         for pkt in &reply {
-            let (out, _) = a.handle_packet(t(100), pkt, &mut rng);
+            let (out, _) = a.on_packet(t(100), pkt, &mut rng);
             fetch.extend(out);
         }
         assert_eq!(fetch.len(), 1, "rebuilder sends one targeted request");
@@ -2407,12 +2386,12 @@ mod tests {
         // and hearing them completes the rebuild.
         let mut refill = Vec::new();
         for pkt in &fetch {
-            let (out, _) = b.handle_packet(t(101), pkt, &mut rng);
+            let (out, _) = b.on_packet(t(101), pkt, &mut rng);
             refill.extend(out);
         }
         assert_eq!(refill.len(), 3, "every missing session re-announced");
         for pkt in &refill {
-            a.handle_packet(t(101), pkt, &mut rng);
+            a.on_packet(t(101), pkt, &mut rng);
         }
         assert_eq!(a.cached_sessions(), 3, "cache rebuilt");
         let m = &a.telemetry().metrics;
@@ -2440,7 +2419,7 @@ mod tests {
         );
         let digest = b.poll(t(30)); // periodic digest, caches both empty
         assert_eq!(digest.len(), 1);
-        let (out, _) = a.handle_packet(t(30), &digest[0], &mut rng);
+        let (out, _) = a.on_packet(t(30), &digest[0], &mut rng);
         assert!(out.is_empty(), "in-sync digest needs no request");
         let m = &a.telemetry().metrics;
         assert_eq!(m.counter_by_name("recon.completed"), 1);
@@ -2454,7 +2433,7 @@ mod tests {
         a.restart(t(5));
         let opener = a.poll(t(5));
         assert_eq!(opener.len(), 1);
-        let (out, _) = a.handle_packet(t(5), &opener[0], &mut rng);
+        let (out, _) = a.on_packet(t(5), &opener[0], &mut rng);
         assert!(out.is_empty(), "multicast echo of our own digest is inert");
         assert_eq!(
             a.telemetry().metrics.counter_by_name("recon.digest_heard"),
@@ -2484,7 +2463,7 @@ mod tests {
         let mut rng = SimRng::new(53);
         for sid in 0..3u64 {
             let desc = remote_desc([10, 0, 0, 9], sid, [224, 2, 128, sid as u8]);
-            d.handle_packet(t(0), &announce_pkt(&desc), &mut rng);
+            d.on_packet(t(0), &announce_pkt(&desc), &mut rng);
         }
         // Burst of 2 tokens: the third packet in the same instant drops.
         assert_eq!(d.cached_sessions(), 2);
@@ -2492,7 +2471,7 @@ mod tests {
         assert_eq!(m.counter_by_name("governor.rate_limited"), 1);
         // Refilled a token after a second; the retry lands.
         let desc = remote_desc([10, 0, 0, 9], 2, [224, 2, 128, 2]);
-        d.handle_packet(t(1), &announce_pkt(&desc), &mut rng);
+        d.on_packet(t(1), &announce_pkt(&desc), &mut rng);
         assert_eq!(d.cached_sessions(), 3);
     }
 
@@ -2511,14 +2490,14 @@ mod tests {
         let mut rng = SimRng::new(54);
         for sid in 0..3u64 {
             let desc = remote_desc([10, 0, 0, 9], sid, [224, 2, 128, sid as u8]);
-            d.handle_packet(t(sid), &announce_pkt(&desc), &mut rng);
+            d.on_packet(t(sid), &announce_pkt(&desc), &mut rng);
         }
         assert_eq!(d.cached_sessions(), 2, "third session over quota");
         let m = &d.telemetry().metrics;
         assert_eq!(m.counter_by_name("governor.rejected_quota"), 1);
         // A refresh of an existing entry is never a quota question.
         let desc = remote_desc([10, 0, 0, 9], 0, [224, 2, 128, 0]);
-        d.handle_packet(t(10), &announce_pkt(&desc), &mut rng);
+        d.on_packet(t(10), &announce_pkt(&desc), &mut rng);
         assert_eq!(
             d.telemetry()
                 .metrics
@@ -2542,12 +2521,12 @@ mod tests {
         let mut rng = SimRng::new(55);
         let s1 = remote_desc([10, 0, 0, 9], 1, [224, 2, 128, 1]);
         let s2 = remote_desc([10, 0, 1, 9], 2, [224, 2, 128, 2]);
-        d.handle_packet(t(0), &announce_pkt(&s1), &mut rng);
-        d.handle_packet(t(1), &announce_pkt(&s2), &mut rng);
+        d.on_packet(t(0), &announce_pkt(&s1), &mut rng);
+        d.on_packet(t(1), &announce_pkt(&s2), &mut rng);
         assert_eq!(d.cached_sessions(), 2);
         // At the budget: the oldest once-heard entry (s1) gives way.
         let s3 = remote_desc([10, 0, 2, 9], 3, [224, 2, 128, 3]);
-        d.handle_packet(t(2), &announce_pkt(&s3), &mut rng);
+        d.on_packet(t(2), &announce_pkt(&s3), &mut rng);
         assert_eq!(d.cached_sessions(), 2);
         let m = &d.telemetry().metrics;
         assert_eq!(m.counter_by_name("governor.evicted_unverified"), 1);
@@ -2555,10 +2534,10 @@ mod tests {
         assert!(d.cache().get(s3.origin.address, 3).is_some());
         // Verify both survivors (second hearing), then a newcomer has
         // no tier to claim: every incumbent is legitimate.
-        d.handle_packet(t(3), &announce_pkt(&s2), &mut rng);
-        d.handle_packet(t(3), &announce_pkt(&s3), &mut rng);
+        d.on_packet(t(3), &announce_pkt(&s2), &mut rng);
+        d.on_packet(t(3), &announce_pkt(&s3), &mut rng);
         let s4 = remote_desc([10, 0, 3, 9], 4, [224, 2, 128, 4]);
-        d.handle_packet(t(4), &announce_pkt(&s4), &mut rng);
+        d.on_packet(t(4), &announce_pkt(&s4), &mut rng);
         assert_eq!(d.cached_sessions(), 2, "no legitimate session evicted");
         let m = &d.telemetry().metrics;
         assert_eq!(m.counter_by_name("governor.rejected_budget"), 1);
@@ -2585,11 +2564,11 @@ mod tests {
         // free the slot.
         let s1 = remote_desc([10, 0, 0, 9], 1, [224, 2, 128, 1]);
         let s2 = remote_desc([10, 0, 1, 9], 2, [224, 2, 128, 2]);
-        d.handle_packet(t(0), &announce_pkt(&s1), &mut rng);
-        d.handle_packet(t(1), &announce_pkt(&s2), &mut rng);
-        d.handle_packet(t(2), &announce_pkt(&s2), &mut rng);
+        d.on_packet(t(0), &announce_pkt(&s1), &mut rng);
+        d.on_packet(t(1), &announce_pkt(&s2), &mut rng);
+        d.on_packet(t(2), &announce_pkt(&s2), &mut rng);
         let s3 = remote_desc([10, 0, 2, 9], 3, [224, 2, 128, 3]);
-        d.handle_packet(t(150), &announce_pkt(&s3), &mut rng);
+        d.on_packet(t(150), &announce_pkt(&s3), &mut rng);
         assert_eq!(d.cached_sessions(), 2);
         assert_eq!(
             d.telemetry()
@@ -2623,7 +2602,7 @@ mod tests {
             d.cache_observe_for_test(t(1), s.clone()); // verified
         }
         let s4 = remote_desc([10, 0, 3, 9], 4, [224, 2, 128, 4]);
-        d.handle_packet(t(2), &announce_pkt(&s4), &mut rng);
+        d.on_packet(t(2), &announce_pkt(&s4), &mut rng);
         assert_eq!(d.cached_sessions(), 2);
         assert_eq!(
             d.telemetry()

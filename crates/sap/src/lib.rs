@@ -11,11 +11,13 @@
 //! Category-partitioned announcement channels (the paper's Section 4
 //! scaling mechanism) live in [`categories`].
 //!
-//! The engine is transport-agnostic; two transports are provided:
+//! The engine is sans-IO and this crate spawns no threads below it:
 //! * [`testbed`] — an in-memory multicast scope over the discrete-event
 //!   simulator, with loss, delay and network partitions;
-//! * [`net`] — real UDP multicast via `std::net`, the path an actual
-//!   deployment uses.
+//! * [`net`] — the [`SapTransport`] seam and its real UDP multicast
+//!   implementation via `std::net`.  Binding a directory to a
+//!   transport, a clock and a thread is `sdalloc-runtime`'s job — no
+//!   threads below `crates/runtime`.
 //!
 //! ```
 //! use sdalloc_sap::directory::{DirectoryConfig, SessionDirectory};
@@ -45,14 +47,12 @@ pub mod slab;
 pub mod testbed;
 pub mod wire;
 
-pub use cache::{
-    AnnouncementCache, CacheEntry, CacheKey, CacheUpdate, EntryRef, DIGEST_BUCKETS, TTL_BANDS,
-};
+pub use cache::{AnnouncementCache, CacheKey, CacheUpdate, EntryRef, DIGEST_BUCKETS, TTL_BANDS};
 pub use directory::{
     CreateError, DirectoryConfig, DirectoryEvent, GovernorConfig, ReconcileConfig,
     SessionDirectory, TimerKind,
 };
-pub use net::{AgentHandle, AgentStats, RetryPolicy, SapAgent, SapSocket, SapTransport};
+pub use net::{SapSocket, SapTransport};
 pub use schedule::BackoffSchedule;
 pub use sdp::{DescRef, Media, MediaRef, Origin, OriginRef, SdpError, SessionDescription};
 pub use slab::{Interner, SessionHandle, SessionId, Slab, Sym};

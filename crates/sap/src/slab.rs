@@ -2,7 +2,7 @@
 //! beneath the announcement cache.
 //!
 //! A production-scale scope caches up to a million sessions.  Holding
-//! each as a `HashMap<CacheKey, CacheEntry>` entry with owned `String`
+//! each as a keyed `HashMap` entry with owned `String`
 //! fields costs a heap allocation per string per session, scatters
 //! records across the heap, and re-hashes the 12-byte key on every
 //! index hop.  The slab fixes all three:

@@ -26,7 +26,7 @@ use sdalloc_sim::{Channel, FaultPlan, SimContext, SimRng, SimTime, Simulator, Tr
 
 use crate::directory::{DirectoryConfig, DirectoryEvent, SessionDirectory};
 use crate::sdp::{Origin, SessionDescription};
-use crate::wire::{msg_id_hash, SapFrame, SapPacket};
+use crate::wire::{corrupt_in_flight, msg_id_hash, trace_emission, SapPacket};
 
 /// Sender index used for forged storm packets: matches no real node, so
 /// it is never partitioned away and never equals a recipient.
@@ -93,17 +93,6 @@ pub struct Testbed {
     /// fingerprint this against the threaded runtime's loopback-bus
     /// trace to pin byte-identical behaviour across the two drivers.
     trace: Option<Vec<u8>>,
-}
-
-/// Append one emission record to a packet trace: time, sender, bytes.
-/// Must stay in lock-step with the runtime loopback bus's trace format
-/// (`sdalloc-runtime`), which is the whole point of the tap.
-fn trace_emission(trace: &mut Option<Vec<u8>>, now: SimTime, node: usize, pkt: &SapPacket) {
-    if let Some(t) = trace.as_mut() {
-        t.extend_from_slice(&now.as_nanos().to_le_bytes());
-        t.push(node as u8);
-        t.extend_from_slice(&pkt.encode());
-    }
 }
 
 /// Schedule a wakeup for `node` at global time `at` unless an earlier or
@@ -429,9 +418,7 @@ fn forge_storm_packet(storm: usize, i: u32, rng: &mut SimRng) -> SapPacket {
 
 /// Fan a packet out to every other node through the channel, under the
 /// fault plan: partition cuts, crashed recipients, burst loss, and
-/// corruption all apply per (link, packet).  Corrupted bytes must
-/// survive a real [`SapFrame::decode`] round-trip to be delivered —
-/// most mangled packets die right there, like on a real socket.
+/// corruption ([`corrupt_in_flight`]) all apply per (link, packet).
 #[allow(clippy::too_many_arguments)]
 fn fan_out(
     ctx: &mut SimContext<Event>,
@@ -461,27 +448,11 @@ fn fan_out(
         match channel.transmit(rng) {
             Transmission::Lost => {}
             Transmission::Delivered(delay) => {
-                let mut delivered = pkt.clone();
-                if let Some((p, mode)) = faults.corruption_at(now) {
-                    if rng.chance(p) {
-                        let mut bytes = delivered.encode().to_vec();
-                        mode.apply(&mut bytes, rng);
-                        // Validate zero-copy against the mangled buffer;
-                        // an owning packet materializes only if the
-                        // frame survives — like a real receive path.
-                        match SapFrame::decode(&bytes) {
-                            Ok(frame) => delivered = frame.to_packet(),
-                            Err(_) => {
-                                // Mangled beyond recognition: the bytes
-                                // still hit the receiver's socket, so the
-                                // drop is accounted there.
-                                ctx.schedule_after(delay, Event::DeliverDropped { to });
-                                continue;
-                            }
-                        }
-                    }
-                }
-                ctx.schedule_after(delay, Event::Deliver { to, pkt: delivered });
+                let event = match corrupt_in_flight(&pkt, faults, now, rng) {
+                    Some(pkt) => Event::Deliver { to, pkt },
+                    None => Event::DeliverDropped { to },
+                };
+                ctx.schedule_after(delay, event);
             }
         }
     }

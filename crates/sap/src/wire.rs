@@ -23,6 +23,7 @@
 use std::net::Ipv4Addr;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use sdalloc_sim::{FaultPlan, SimRng, SimTime};
 
 /// The SAP version this implementation speaks.
 pub const SAP_VERSION: u8 = 1;
@@ -286,6 +287,45 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Append one emission record to a packet trace, if one is being
+/// kept: `time-nanos ‖ node ‖ encoded packet` (one byte of node; ids
+/// past 255 share the `0xff` tag).  The testbed and the runtime
+/// loopback bus both record through here, which is what lets the
+/// differential tests compare their traces byte for byte.
+pub fn trace_emission(trace: &mut Option<Vec<u8>>, now: SimTime, node: usize, pkt: &SapPacket) {
+    if let Some(t) = trace.as_mut() {
+        t.extend_from_slice(&now.as_nanos().to_le_bytes());
+        t.push(u8::try_from(node).unwrap_or(u8::MAX));
+        t.extend_from_slice(&pkt.encode());
+    }
+}
+
+/// What one receiver decodes after `pkt` crosses a link at `now` under
+/// the plan's corruption windows.  Outside a window (or when the
+/// per-packet draw spares it) that is the packet itself; inside, the
+/// encoded bytes are mangled and must survive a real
+/// [`SapFrame::decode`] to be delivered at all.  `None` means the
+/// datagram died before decode — it still hit the receiver's socket, so
+/// the caller accounts the drop there.
+///
+/// Draws from `rng` only inside a window: the chance draw, then
+/// whatever the corruption mode itself draws.
+pub fn corrupt_in_flight(
+    pkt: &SapPacket,
+    faults: &FaultPlan,
+    now: SimTime,
+    rng: &mut SimRng,
+) -> Option<SapPacket> {
+    if let Some((p, mode)) = faults.corruption_at(now) {
+        if rng.chance(p) {
+            let mut bytes = pkt.encode().to_vec();
+            mode.apply(&mut bytes, rng);
+            return SapFrame::decode(&bytes).ok().map(|frame| frame.to_packet());
+        }
+    }
+    Some(pkt.clone())
 }
 
 /// Upper bound on the bucket list a reconciliation payload may carry.

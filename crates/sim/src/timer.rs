@@ -14,10 +14,7 @@
 //! * two timers at the *same* deadline fire in schedule order (FIFO) —
 //!   the token counter doubles as the tie-break sequence;
 //! * cancellation is lazy: a cancelled entry stays in the heap until it
-//!   reaches the top, where it is discarded silently.  Lazy entries can
-//!   make [`TimerQueue::peek_deadline`] conservative (early), never
-//!   late — an early wake finds nothing due and is a no-op, so traces
-//!   are unaffected.
+//!   reaches the top, where it is discarded silently.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -128,14 +125,6 @@ impl<K> TimerQueue<K> {
             }
             self.heap.pop();
         }
-    }
-
-    /// The earliest heap deadline *without* pruning.  May be earlier
-    /// than the true next deadline when a cancelled entry still sits at
-    /// the top (never later); use where only `&self` is available and a
-    /// conservative wake is acceptable.
-    pub fn peek_deadline(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.due)
     }
 
     /// Pop the earliest live timer with `due <= now`, if any, skipping
@@ -311,15 +300,6 @@ impl<K> ShardedTimerQueue<K> {
         self.shards.get_mut(shard)?.next_deadline()
     }
 
-    /// Conservative (possibly early, never late) earliest deadline; see
-    /// [`TimerQueue::peek_deadline`].
-    pub fn peek_deadline(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(TimerQueue::peek_deadline)
-            .min()
-    }
-
     /// Pop the globally-earliest live timer with `due <= now`, in the
     /// same (deadline, schedule) order a single queue would fire.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, K)> {
@@ -398,9 +378,7 @@ mod tests {
         assert!(q.cancel(a));
         assert!(!q.cancel(a), "double cancel reports false");
         assert_eq!(q.len(), 1);
-        // The cancelled entry still distorts the unpruned peek...
-        assert_eq!(q.peek_deadline(), Some(t(1)));
-        // ...but the pruning accessor and pop skip it.
+        // The pruning accessor and pop skip the cancelled entry.
         assert_eq!(q.next_deadline(), Some(t(2)));
         assert_eq!(q.pop_due(t(10)), Some((t(2), "b")));
         assert!(q.is_empty());
@@ -473,13 +451,10 @@ mod tests {
             assert!(q.cancel(tok));
         }
         assert!(q.is_empty(), "no live timers remain");
-        // peek is conservative: it may surface a cancelled deadline...
-        assert_eq!(q.peek_deadline(), Some(t(1)));
-        // ...pop_due skips every cancelled entry without firing any.
+        // pop_due skips every cancelled entry without firing any.
         assert_eq!(q.pop_due(t(100)), None);
         // next_deadline prunes to the true answer: nothing.
         assert_eq!(q.next_deadline(), None);
-        assert_eq!(q.peek_deadline(), None, "prune emptied the heap");
         // The queue remains usable afterwards.
         q.schedule(t(50), 99);
         assert_eq!(q.next_deadline(), Some(t(50)));
@@ -570,7 +545,6 @@ mod tests {
         assert_eq!(a.shard(), 0);
         assert!(q.cancel(a));
         assert!(!q.cancel(a), "double cancel reports false");
-        assert_eq!(q.peek_deadline(), Some(t(1)), "conservative peek");
         assert_eq!(q.next_deadline(), Some(t(2)), "pruned deadline");
         assert_eq!(q.pop_due(t(10)), Some((t(2), "b")));
         assert!(!q.cancel(b), "cancel-after-fire reports false");

@@ -2,7 +2,9 @@
 //!
 //! Joins a SAP group on the local network, announces a session with an
 //! AIPRMA-allocated address, and prints every session it discovers —
-//! the same announce/listen loop sdr ran on the Mbone.
+//! the same announce/listen loop sdr ran on the Mbone.  The agent is
+//! the runtime's [`AgentDriver`] over a [`SapSocket`], stepped from this
+//! thread (`Runtime::spawn` would give it a thread of its own).
 //!
 //! Run two instances side by side to watch them discover each other
 //! (multicast loopback is enabled, so one machine is enough):
@@ -16,11 +18,13 @@
 //! (239.195.255.250:9875) rather than the real Mbone SAP group.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdalloc::core::AdaptiveIpr;
+use sdalloc::runtime::{AgentDriver, DriverConfig, WallClock};
 use sdalloc::sap::directory::DirectoryConfig;
-use sdalloc::sap::net::{SapAgent, SapSocket};
+use sdalloc::sap::net::SapSocket;
 use sdalloc::sap::sdp::Media;
 
 fn main() {
@@ -59,7 +63,15 @@ fn main() {
     let host = Ipv4Addr::new(127, 0, 0, 1);
     let cfg = DirectoryConfig::new(host);
     let seed = std::process::id() as u64;
-    let mut agent = SapAgent::new(cfg, Box::new(AdaptiveIpr::aipr3()), socket, seed);
+    let mut agent = AgentDriver::new(
+        0,
+        seed,
+        cfg,
+        Box::new(AdaptiveIpr::aipr3()),
+        socket,
+        Arc::new(WallClock::new()),
+        DriverConfig::default(),
+    );
 
     if let Some(session_name) = &name {
         let media = vec![Media {
@@ -71,7 +83,7 @@ fn main() {
         match agent.create_session(session_name, ttl, media) {
             Ok(id) => {
                 let group = agent
-                    .directory_mut()
+                    .directory()
                     .own_sessions()
                     .find(|(sid, _)| **sid == id)
                     .map(|(_, s)| s.desc.group)
@@ -90,17 +102,15 @@ fn main() {
     let start = Instant::now();
     let mut last_report = 0usize;
     while start.elapsed() < Duration::from_secs(seconds) {
-        if let Err(e) = agent.step(Duration::from_millis(200)) {
+        if let Err(e) = agent.step() {
             eprintln!("socket error: {e}");
             break;
         }
-        let cached = agent.stats().cached_sessions;
+        let cached = agent.directory().cached_sessions();
         if cached != last_report {
             last_report = cached;
             println!("--- directory now holds {cached} remote session(s) ---");
-            let space = agent.directory_mut().config().space;
-            let _ = space;
-            for (key, entry) in agent.directory_mut().cache().iter() {
+            for (key, entry) in agent.directory().cache().iter() {
                 println!(
                     "  '{}' on {}/{} (from {}, v{})",
                     entry.name(),
@@ -112,9 +122,7 @@ fn main() {
             }
         }
     }
-    let stats = agent.stats();
-    println!(
-        "done: sent {} announcement(s), received {} packet(s), {} session(s) cached",
-        stats.sent, stats.received, stats.cached_sessions
-    );
+    let exit = agent.into_exit(None);
+    println!("done: {} session(s) cached", exit.cached_sessions);
+    print!("{}", exit.runtime_telemetry);
 }

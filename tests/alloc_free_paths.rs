@@ -1,0 +1,183 @@
+//! Allocation gates for the two paths that must stay off the heap at
+//! scale: a steady-state refresh through the zero-copy admit path, and
+//! the reader query mix on a published snapshot.
+//!
+//! One counting `#[global_allocator]` shim tallies allocation events
+//! per thread, so the gates see only the calls they bracket — not the
+//! other test running beside them, nor the harness.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::net::Ipv4Addr;
+
+use sdalloc_core::{AddrSpace, InformedRandomAllocator};
+use sdalloc_runtime::{SnapshotCadence, SnapshotPublisher};
+use sdalloc_sap::cache::AnnouncementCache;
+use sdalloc_sap::directory::{DirectoryConfig, SessionDirectory};
+use sdalloc_sap::sdp::{DescRef, Media, Origin, SessionDescription};
+use sdalloc_sim::{SimDuration, SimRng, SimTime};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    // `try_with`: a thread tearing down its TLS still allocates.
+    let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System`; the per-thread counter has no
+// effect on allocation behaviour.  The workspace denies `unsafe_code`,
+// but a counting allocator cannot be written without implementing the
+// unsafe `GlobalAlloc` trait — the exemption is scoped to this
+// test-only shim and adds no unsafe of its own.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_event();
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_event();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocation events on this thread so far.
+fn alloc_events() -> u64 {
+    ALLOC_EVENTS.with(Cell::get)
+}
+
+const SESSIONS: usize = 10_000;
+
+fn space() -> AddrSpace {
+    AddrSpace::new(Ipv4Addr::new(224, 2, 0, 0), SESSIONS as u32)
+}
+
+/// Session `i`'s description: distinct origin per session, group drawn
+/// from the space round-robin.
+fn session(i: usize, space: &AddrSpace) -> SessionDescription {
+    let group = u32::from(space.base()) + (i as u32 % space.size());
+    SessionDescription {
+        origin: Origin {
+            username: "-".into(),
+            session_id: i as u64,
+            version: 1,
+            address: Ipv4Addr::from(0x0a00_0000 + i as u32),
+        },
+        name: format!("s{i}"),
+        info: None,
+        group: Ipv4Addr::from(group),
+        ttl: 63,
+        start: 0,
+        stop: 0,
+        media: vec![Media {
+            kind: "audio".into(),
+            port: 5004,
+            proto: "RTP/AVP".into(),
+            format: 0,
+        }],
+    }
+}
+
+#[test]
+fn shim_counts_this_threads_allocations() {
+    // The gates below are vacuous if the shim is not the allocator.
+    let before = alloc_events();
+    black_box(vec![0u8; 64]);
+    assert!(alloc_events() > before);
+}
+
+#[test]
+fn steady_state_refresh_does_not_allocate() {
+    // A refresh of an unchanged session must not allocate: the record
+    // already owns its interned strings and the expiry slot is re-filed
+    // lazily.  A handful of events are tolerated (allocator-internal
+    // bookkeeping, an amortised heap regrow) — far below the
+    // one-per-op a cloning path would cost.
+    const REFRESHES: usize = 4096;
+    const SLACK: u64 = 64;
+    let space = space();
+    let mut cache = AnnouncementCache::new(SimDuration::from_secs(3600));
+    for i in 0..SESSIONS {
+        cache.observe_announce(
+            SimTime::from_nanos(i as u64 * 10_000_000),
+            session(i, &space),
+        );
+    }
+    // Owned fixtures and their borrowed views are built up front; the
+    // counted window then sees only the cache refresh itself.
+    let mut rng = SimRng::new(29);
+    let descs: Vec<SessionDescription> = (0..REFRESHES)
+        .map(|_| session(rng.index(SESSIONS), &space))
+        .collect();
+    let views: Vec<DescRef<'_>> = descs.iter().map(SessionDescription::as_ref).collect();
+    let now = SimTime::from_secs(900);
+    let before = alloc_events();
+    for v in &views {
+        black_box(cache.observe_announce_ref(now, v));
+    }
+    let events = alloc_events() - before;
+    assert!(
+        events <= SLACK,
+        "{events} allocation events across {REFRESHES} steady-state refreshes \
+         (slack {SLACK}) — the zero-copy refresh path is allocating"
+    );
+}
+
+#[test]
+fn reader_queries_on_a_loaded_snapshot_do_not_allocate() {
+    const PASSES: usize = 2048;
+    let space = space();
+    let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
+    cfg.space = space;
+    let mut dir = SessionDirectory::new(cfg, Box::new(InformedRandomAllocator));
+    let now = SimTime::from_secs(1);
+    for i in 0..SESSIONS {
+        dir.cache_observe_for_test(now, session(i, &space));
+    }
+    let mut publisher = SnapshotPublisher::new(SnapshotCadence::default());
+    publisher.publish(now, &dir);
+    let mut reader = publisher.handle().reader();
+    let mut rng = SimRng::new(47);
+
+    // The query mix a deployed directory serves: a group-in-use probe
+    // and a keyed lookup every pass, a keyword scan every 64th.
+    let mut pass = |iter: usize| {
+        let snap = reader.load();
+        let group =
+            Ipv4Addr::from(u32::from(space.base()) + rng.below(u64::from(space.size())) as u32);
+        let mut hits = usize::from(snap.group_in_use(group));
+        let probe = rng.below(2 * SESSIONS as u64);
+        hits += usize::from(
+            snap.get(Ipv4Addr::from(0x0a00_0000 + probe as u32), probe)
+                .is_some(),
+        );
+        if iter.is_multiple_of(64) {
+            hits += snap.matching("s1").count();
+        }
+        hits
+    };
+    // Warm-up: fault in the reader's epoch slot.
+    let mut hits = pass(1);
+    let before = alloc_events();
+    for iter in 0..PASSES {
+        hits += pass(iter);
+    }
+    let events = alloc_events() - before;
+    assert!(hits > PASSES, "queries must actually hit: {hits}");
+    assert_eq!(
+        events, 0,
+        "{events} allocation events across {PASSES} reader passes — \
+         snapshot queries must be allocation-free"
+    );
+}

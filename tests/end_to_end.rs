@@ -145,7 +145,7 @@ fn directory_cache_matches_announced_population() {
             for node in 1..4 {
                 let now = tb.now();
                 let mut rng = SimRng::new(23);
-                tb.directory_mut(node).handle_packet(now, &del, &mut rng);
+                tb.directory_mut(node).on_packet(now, &del, &mut rng);
             }
         }
     }

@@ -528,7 +528,7 @@ proptest! {
                 }
                 // Evict (governor displacement).
                 2 => {
-                    if cache.evict(key).is_some() {
+                    if cache.evict(key) {
                         *epoch.entry(i).or_insert(0) += 1;
                     }
                 }
