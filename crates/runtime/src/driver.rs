@@ -149,6 +149,8 @@ pub struct AgentDriver<T: SapTransport> {
     c_rx: CounterId,
     c_tx: CounterId,
     c_snapshots: CounterId,
+    c_snapshot_replays: CounterId,
+    c_snapshot_rows_changed: CounterId,
     c_restarts: CounterId,
     c_rx_dropped: CounterId,
     c_commands: CounterId,
@@ -184,6 +186,8 @@ impl<T: SapTransport> AgentDriver<T> {
         let c_rx = telemetry.counter("runtime.rx");
         let c_tx = telemetry.counter("runtime.tx");
         let c_snapshots = telemetry.counter("runtime.snapshots");
+        let c_snapshot_replays = telemetry.counter("runtime.snapshot_replays");
+        let c_snapshot_rows_changed = telemetry.counter("runtime.snapshot_rows_changed");
         let c_restarts = telemetry.counter("runtime.restarts");
         let c_rx_dropped = telemetry.counter("runtime.rx_predecode_dropped");
         let c_commands = telemetry.counter("runtime.commands");
@@ -203,6 +207,8 @@ impl<T: SapTransport> AgentDriver<T> {
             c_rx,
             c_tx,
             c_snapshots,
+            c_snapshot_replays,
+            c_snapshot_rows_changed,
             c_restarts,
             c_rx_dropped,
             c_commands,
@@ -275,7 +281,6 @@ impl<T: SapTransport> AgentDriver<T> {
         let id = self
             .directory
             .create_session(now, name, ttl, media, &mut self.rng)?;
-        self.publisher.note_updates(1);
         Ok(id)
     }
 
@@ -284,22 +289,38 @@ impl<T: SapTransport> AgentDriver<T> {
         if let Some(pkt) = self.directory.withdraw_session(id) {
             self.transport.send(&pkt)?;
             self.telemetry.inc(self.c_tx);
-            self.publisher.note_updates(1);
         }
         Ok(())
     }
 
     /// Publish a snapshot right now, regardless of cadence.
     pub fn publish_now(&mut self) {
-        self.publisher.publish(self.clock.now(), &self.directory);
+        self.publish(self.clock.now(), true);
+    }
+
+    /// Publish — unconditionally with `force`, else when the cadence
+    /// says the cache has changed for long enough — and mirror what the
+    /// publisher did into `runtime.*`: how many publishes, how many of
+    /// them replayed rather than captured, how many rows they wrote.
+    fn publish(&mut self, now: SimTime, force: bool) {
+        let replayed_before = self.publisher.stats().replayed;
+        if force {
+            self.publisher.publish(now, &self.directory);
+        } else if !self.publisher.maybe_publish(now, &self.directory) {
+            return;
+        }
+        let stats = self.publisher.stats();
         self.telemetry.inc(self.c_snapshots);
+        self.telemetry
+            .inc_by(self.c_snapshot_replays, stats.replayed - replayed_before);
+        self.telemetry
+            .inc_by(self.c_snapshot_rows_changed, stats.rows_rewritten as u64);
     }
 
     /// Feed one received packet to the engine and send any replies.
     fn ingest(&mut self, now: SimTime, pkt: &sdalloc_sap::SapPacket) -> io::Result<()> {
         self.telemetry.inc(self.c_rx);
         let (replies, _events) = self.directory.on_packet(now, pkt, &mut self.rng);
-        self.publisher.note_updates(1);
         for reply in replies {
             self.transport.send(&reply)?;
             self.telemetry.inc(self.c_tx);
@@ -353,9 +374,7 @@ impl<T: SapTransport> AgentDriver<T> {
             self.transport.send(&pkt)?;
             self.telemetry.inc(self.c_tx);
         }
-        if self.publisher.maybe_publish(now, &self.directory) {
-            self.telemetry.inc(self.c_snapshots);
-        }
+        self.publish(now, false);
         let wait = match self.directory.next_deadline() {
             Some(d) => {
                 let gap = Duration::from_nanos(d.saturating_since(now).as_nanos());
@@ -372,10 +391,7 @@ impl<T: SapTransport> AgentDriver<T> {
                     None => break,
                 }
             }
-            let pnow = self.clock.now();
-            if self.publisher.maybe_publish(pnow, &self.directory) {
-                self.telemetry.inc(self.c_snapshots);
-            }
+            self.publish(self.clock.now(), false);
         }
         self.drain_predecode_drops(self.clock.now());
         Ok(())
@@ -410,9 +426,7 @@ impl<T: SapTransport> AgentDriver<T> {
                 self.transport.send(&pkt)?;
                 self.telemetry.inc(self.c_tx);
             }
-            if self.publisher.maybe_publish(now, &self.directory) {
-                self.telemetry.inc(self.c_snapshots);
-            }
+            self.publish(now, false);
         }
         vclock.advance_to(horizon);
         Ok(())
@@ -670,9 +684,12 @@ fn worker_loop<T: SapTransport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::{BusEndpoint, LoopbackBus};
     use crate::clock::WallClock;
     use sdalloc_core::{AddrSpace, InformedRandomAllocator};
-    use sdalloc_sap::{SapPacket, SapSocket};
+    use sdalloc_sap::wire::msg_id_hash;
+    use sdalloc_sap::{Origin, SapPacket, SapSocket, SessionDescription};
+    use sdalloc_sim::SimDuration;
     use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -879,6 +896,116 @@ mod tests {
             exit.flight_dump.contains("\"name\": \"terminal_failure\""),
             "{}",
             exit.flight_dump
+        );
+    }
+
+    /// A third party's session, as the wire carries it.
+    fn remote(version: u64) -> SessionDescription {
+        SessionDescription {
+            origin: Origin {
+                username: "-".into(),
+                session_id: 7,
+                version,
+                address: Ipv4Addr::new(10, 0, 0, 2),
+            },
+            name: "peer".into(),
+            info: None,
+            group: Ipv4Addr::new(224, 2, 128, 9),
+            ttl: 63,
+            start: 0,
+            stop: 0,
+            media: media(),
+        }
+    }
+
+    fn announce(desc: &SessionDescription) -> SapPacket {
+        let payload = desc.format();
+        SapPacket::announce(desc.origin.address, msg_id_hash(&payload), payload)
+    }
+
+    /// One agent on a quiet loopback bus under a virtual clock, plus the
+    /// endpoint a test feeds it through.
+    fn quiet_agent(
+        cache_timeout: SimDuration,
+    ) -> (AgentDriver<BusEndpoint>, Arc<VirtualClock>, BusEndpoint) {
+        let clock = Arc::new(VirtualClock::new());
+        let bus = LoopbackBus::new(Arc::clone(&clock) as Arc<dyn Clock>, 5, FaultPlan::new());
+        let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
+        cfg.space = AddrSpace::abstract_space(64);
+        cfg.cache_timeout = cache_timeout;
+        let agent = AgentDriver::new(
+            0,
+            5,
+            cfg,
+            Box::new(InformedRandomAllocator),
+            bus.endpoint(),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+            DriverConfig::default(),
+        );
+        (agent, clock, bus.endpoint())
+    }
+
+    #[test]
+    fn timer_driven_expiry_reaches_readers_of_a_quiet_agent() {
+        // One cached session, then silence: the only thing that ever
+        // changes the cache again is its own expiry timer.
+        let (mut agent, clock, feeder) = quiet_agent(SimDuration::from_secs(100));
+        let mut reader = agent.snapshot_handle().reader();
+        feeder.send(&announce(&remote(1))).unwrap();
+        agent
+            .run_deterministic_until(&clock, SimTime::from_secs(1))
+            .unwrap();
+        agent.publish_now();
+        assert_eq!(reader.load().len(), 1);
+        assert!(reader.load().group_in_use(remote(1).group));
+
+        agent
+            .run_deterministic_until(&clock, SimTime::from_secs(200))
+            .unwrap();
+        assert_eq!(agent.directory().cached_sessions(), 0, "entry expired");
+        let snap = reader.load();
+        assert_eq!(snap.len(), 0, "readers still answer for an expired session");
+        assert!(!snap.group_in_use(remote(1).group));
+    }
+
+    #[test]
+    fn packets_that_change_no_row_do_not_republish() {
+        let (mut agent, clock, feeder) = quiet_agent(SimDuration::from_hours(1));
+        feeder.send(&announce(&remote(2))).unwrap();
+        agent
+            .run_deterministic_until(&clock, SimTime::from_secs(1))
+            .unwrap();
+        // Two publishes: the second leaves the first as the spare.
+        agent.publish_now();
+        agent.publish_now();
+        let published = agent.snapshot_stats().published;
+        // A stale version and an unparseable payload, well past the
+        // cadence interval: heard, counted, but no row moved.
+        clock.advance_to(SimTime::from_secs(10));
+        feeder.send(&announce(&remote(1))).unwrap();
+        feeder
+            .send(&SapPacket::announce(
+                Ipv4Addr::new(10, 0, 0, 3),
+                1,
+                "not sdp".into(),
+            ))
+            .unwrap();
+        agent.step().unwrap();
+        agent.step().unwrap();
+        assert_eq!(counter(&agent.runtime_telemetry_json(), "runtime.rx"), 3);
+        assert_eq!(agent.snapshot_stats().published, published);
+        // A refresh moves `last_heard`, which rows carry: that publishes.
+        feeder.send(&announce(&remote(2))).unwrap();
+        agent.step().unwrap();
+        agent.step().unwrap();
+        assert_eq!(agent.snapshot_stats().published, published + 1);
+        let telemetry = agent.runtime_telemetry_json();
+        assert_eq!(counter(&telemetry, "runtime.snapshots"), published + 1);
+        assert_eq!(counter(&telemetry, "runtime.snapshot_replays"), 1);
+        assert_eq!(
+            counter(&telemetry, "runtime.snapshot_rows_changed"),
+            3,
+            "one row per capture, then the one refreshed row"
         );
     }
 

@@ -1,30 +1,42 @@
 //! Immutable directory snapshots and the lock-free read path.
 //!
 //! The writer (an agent thread that owns its
-//! [`sdalloc_sap::SessionDirectory`]) periodically *captures* the
-//! announcement cache into a [`DirectorySnapshot`] — a sorted, immutable,
-//! cheaply shareable projection — and *publishes* it with one atomic
-//! pointer swap through [`crossbeam::epoch::ArcSwap`].  Query threads
-//! hold a [`SnapshotReader`] and borrow the current snapshot without
-//! taking any lock; superseded snapshots are reclaimed only once every
-//! pinned reader has moved past them (see `vendor/crossbeam/src/epoch.rs`
-//! for the safety argument).
+//! [`sdalloc_sap::SessionDirectory`]) periodically brings a
+//! [`DirectorySnapshot`] — a sorted, immutable, cheaply shareable
+//! projection of the announcement cache — up to date and *publishes* it
+//! with one atomic pointer swap through [`crossbeam::epoch::ArcSwap`].
+//! Query threads hold a [`SnapshotReader`] and borrow the current
+//! snapshot without taking any lock; superseded snapshots are reclaimed
+//! only once every pinned reader has moved past them (see
+//! `vendor/crossbeam/src/epoch.rs` for the safety argument).
 //!
-//! Everything a query needs is precomputed at capture time so the read
+//! Everything a query needs is precomputed at publish time so the read
 //! side allocates nothing: rows are sorted by [`CacheKey`] (binary-search
-//! point lookups), the distinct group list is sorted (binary-search
-//! `group_in_use`), and the allocator-facing visible-session projection
-//! is materialised once.  Each row carries an FNV-1a checksum over its
+//! point lookups) and the distinct group list is sorted (binary-search
+//! `group_in_use`).  Each row carries an FNV-1a checksum over its
 //! fields, letting stress tests prove that a reader can never observe a
 //! torn or recycled row: a snapshot either verifies in full or the
 //! reclamation scheme is broken.
+//!
+//! ## Publishing costs O(changes)
+//!
+//! Every snapshot records the cache's change-journal cursor it
+//! reflects.  The publisher keeps its own `Arc` to its last two
+//! publications; by the next publish the older one has been retired and
+//! collected by the epoch cell, so the publisher owns it outright,
+//! re-reads just the rows the journal names since that snapshot's
+//! cursor (`DirectorySnapshot::replay`) and publishes it again.
+//! [`DirectorySnapshot::capture`] — copy, checksum and sort every row —
+//! remains the one full build, taken when replay is not possible: the
+//! first two publishes, a reader still holding the spare, a cursor the
+//! journal no longer covers (ring overrun, restart), or more changed
+//! keys than the cache has rows.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use crossbeam::epoch::{ArcSwap, Guard, Reader};
-use sdalloc_core::VisibleSession;
-use sdalloc_sap::cache::CacheKey;
+use sdalloc_sap::cache::{AnnouncementCache, CacheKey, EntryRef};
 use sdalloc_sap::SessionDirectory;
 use sdalloc_sim::{SimDuration, SimTime};
 
@@ -43,8 +55,8 @@ fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// One cached session, flattened out of the slab arena into a
 /// self-contained row.  The name is an `Arc<str>` shared with the
-/// cache's interner — capturing a snapshot clones the Arc, not the text.
-#[derive(Debug, Clone)]
+/// cache's interner — building a row clones the Arc, not the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionRow {
     /// The cache key (origin, session id).
     pub key: CacheKey,
@@ -82,6 +94,19 @@ impl SessionRow {
         }
     }
 
+    /// The row for a live cache entry: what capture and replay both
+    /// build rows through.
+    fn of(key: CacheKey, entry: &EntryRef<'_>) -> SessionRow {
+        SessionRow::new(
+            key,
+            entry.group(),
+            entry.ttl(),
+            entry.version(),
+            entry.last_heard(),
+            entry.name_arc().unwrap_or_else(|| Arc::from("")),
+        )
+    }
+
     fn checksum_of(
         key: CacheKey,
         group: Ipv4Addr,
@@ -114,18 +139,51 @@ impl SessionRow {
     }
 }
 
+/// Edit the sorted `v` in place: drop the elements at the ascending
+/// indices `dead`, then weave in the sorted `new` ones (none of which
+/// equals a kept element).  Each pass is a `memmove` of what lies behind
+/// its first edit — elements are moved, never looked into — and nothing
+/// is allocated unless `v` must grow.
+fn edit_sorted<T, K: Ord>(v: &mut Vec<T>, dead: &[usize], new: Vec<T>, key: impl Fn(&T) -> K) {
+    if !dead.is_empty() {
+        let mut dead = dead.iter().peekable();
+        let mut index = 0;
+        v.retain(|_| {
+            index += 1;
+            dead.next_if(|&&d| d + 1 == index).is_none()
+        });
+    }
+    // Where each newcomer goes, then the newcomers themselves, parked
+    // behind the last old element.  Back to front, one rotation carries
+    // every still-parked newcomer across the old elements that sort
+    // after the last of them, which leaves that one in its final place:
+    // an old element moves once, however many newcomers there are.
+    let slots: Vec<usize> = new
+        .iter()
+        .map(|n| v.partition_point(|old| key(old) < key(n)))
+        .collect();
+    v.extend(new);
+    let mut end = v.len();
+    for (parked, &slot) in slots.iter().enumerate().rev() {
+        if let Some(tail) = v.get_mut(slot..end) {
+            tail.rotate_right(parked + 1);
+        }
+        end = slot + parked;
+    }
+}
+
 /// An immutable, point-in-time projection of one directory's cache.
 #[derive(Debug)]
 pub struct DirectorySnapshot {
     version: u64,
     published_at: SimTime,
+    /// The cache's [`AnnouncementCache::change_seq`] this snapshot
+    /// reflects: replaying the journal from here brings it up to date.
+    cursor: u64,
     /// All cached sessions, sorted by key.
     rows: Vec<SessionRow>,
     /// Distinct groups in use, sorted.
     groups: Vec<Ipv4Addr>,
-    /// The allocator-facing view (cache ∩ address space, plus own
-    /// sessions), as [`SessionDirectory::current_view`] computes it.
-    visible: Vec<VisibleSession>,
 }
 
 impl DirectorySnapshot {
@@ -134,28 +192,19 @@ impl DirectorySnapshot {
         DirectorySnapshot {
             version: 0,
             published_at: SimTime::ZERO,
+            cursor: 0,
             rows: Vec::new(),
             groups: Vec::new(),
-            visible: Vec::new(),
         }
     }
 
-    /// Capture the directory's cache as of `now`.  Writer-side only:
-    /// allocates the row/group/visible vectors.
+    /// Capture the directory's cache as of `now`: the full build, O(rows).
+    /// Writer-side only: allocates the row and group vectors.
     pub fn capture(version: u64, now: SimTime, dir: &SessionDirectory) -> DirectorySnapshot {
         let cache = dir.cache();
         let mut rows: Vec<SessionRow> = cache
             .iter()
-            .map(|(key, entry)| {
-                SessionRow::new(
-                    key,
-                    entry.group(),
-                    entry.ttl(),
-                    entry.version(),
-                    entry.last_heard(),
-                    entry.name_arc().unwrap_or_else(|| Arc::from("")),
-                )
-            })
+            .map(|(key, entry)| SessionRow::of(key, &entry))
             .collect();
         rows.sort_unstable_by_key(|r| r.key);
         let mut groups: Vec<Ipv4Addr> = rows.iter().map(|r| r.group).collect();
@@ -164,10 +213,76 @@ impl DirectorySnapshot {
         DirectorySnapshot {
             version,
             published_at: now,
+            cursor: cache.change_seq(),
             rows,
             groups,
-            visible: dir.current_view(),
         }
+    }
+
+    /// Bring this snapshot up to `cache` as it is now by re-reading only
+    /// the keys journalled since its cursor; returns how many rows were
+    /// rewritten, inserted or removed.  `None` — and the snapshot
+    /// untouched — when the journal no longer reaches back to the cursor
+    /// or names more keys than the cache has rows, where a capture is
+    /// the cheaper way.
+    ///
+    /// Changed rows are overwritten in place.  Membership changes cost
+    /// an [`edit_sorted`] of the rows and one of the group set — no
+    /// hashing, sorting, checksumming or refcount traffic for a row
+    /// that did not change — and a refresh-only batch skips both.
+    /// Whether a touched group is still in use is the live cache's
+    /// answer, so the snapshot keeps no per-group count.
+    fn replay(&mut self, cache: &AnnouncementCache) -> Option<usize> {
+        let mut keys: Vec<CacheKey> = cache.changes_since(self.cursor)?.collect();
+        keys.sort_unstable();
+        keys.dedup();
+        if keys.len() > cache.len() {
+            return None;
+        }
+        let mut rewritten = 0;
+        let mut inserts = Vec::new();
+        let mut removals = Vec::new();
+        let mut touched = Vec::new();
+        for key in keys {
+            let at = self.rows.binary_search_by_key(&key, |r| r.key);
+            let live = cache.get(key.origin, key.session_id);
+            match (at, &live) {
+                (Ok(i), Some(entry)) => {
+                    if let Some(row) = self.rows.get_mut(i) {
+                        if row.group != entry.group() {
+                            touched.extend([row.group, entry.group()]);
+                        }
+                        *row = SessionRow::of(key, entry);
+                    }
+                }
+                (Ok(i), None) => {
+                    touched.extend(self.rows.get(i).map(|r| r.group));
+                    removals.push(i);
+                }
+                (Err(_), Some(entry)) => {
+                    touched.push(entry.group());
+                    inserts.push(SessionRow::of(key, entry));
+                }
+                // Admitted and gone again between two publishes.
+                (Err(_), None) => continue,
+            }
+            rewritten += 1;
+        }
+        edit_sorted(&mut self.rows, &removals, inserts, |r| r.key);
+        touched.sort_unstable();
+        touched.dedup();
+        let mut new_groups = Vec::new();
+        let mut dead_groups = Vec::new();
+        for group in touched {
+            match (self.groups.binary_search(&group), cache.group_in_use(group)) {
+                (Ok(i), false) => dead_groups.push(i),
+                (Err(_), true) => new_groups.push(group),
+                _ => {}
+            }
+        }
+        edit_sorted(&mut self.groups, &dead_groups, new_groups, |g| *g);
+        self.cursor = cache.change_seq();
+        Some(rewritten)
     }
 
     /// Monotone publication counter (0 = the empty pre-first snapshot).
@@ -200,9 +315,9 @@ impl DirectorySnapshot {
         &self.rows
     }
 
-    /// The allocator-facing visible-session projection.
-    pub fn visible_sessions(&self) -> &[VisibleSession] {
-        &self.visible
+    /// The distinct groups in use, sorted.
+    pub fn groups(&self) -> &[Ipv4Addr] {
+        &self.groups
     }
 
     /// Point lookup by cache key.  Zero-alloc (binary search).
@@ -238,7 +353,7 @@ impl DirectorySnapshot {
 pub struct SnapshotCadence {
     /// Publish no more often than this while updates trickle in.
     pub min_interval: SimDuration,
-    /// …but never let more than this many cache updates pile up
+    /// …but never let more than this many cache changes pile up
     /// unpublished, even inside the interval.
     pub max_pending: u64,
 }
@@ -258,21 +373,34 @@ impl Default for SnapshotCadence {
 pub struct SnapshotStats {
     /// Snapshots published (== current snapshot version).
     pub published: u64,
+    /// Of those, how many replayed the journal onto the reclaimed spare
+    /// instead of capturing the whole cache.
+    pub replayed: u64,
     /// Rows in the most recent snapshot.
     pub last_rows: usize,
-    /// Largest update batch folded into one publication.
+    /// Rows the most recent publish wrote: the changed ones for a
+    /// replay, all of them for a capture.
+    pub rows_rewritten: usize,
+    /// Largest batch of cache changes folded into one publication.
     pub max_batch: u64,
 }
 
-/// The writer's half of the snapshot cell: owns the cadence policy and
-/// the pending-update accounting, publishes via the epoch cell.
+/// The writer's half of the snapshot cell: owns the cadence policy,
+/// publishes via the epoch cell, and recycles the snapshot before last.
+///
+/// A publisher serves one directory: journal cursors are only
+/// meaningful against the cache (or its restarted successors) they were
+/// read from.
 #[derive(Debug)]
 pub struct SnapshotPublisher {
     cell: ArcSwap<DirectorySnapshot>,
     cadence: SnapshotCadence,
-    pending: u64,
     stats: SnapshotStats,
-    last_published: Option<SimTime>,
+    /// Our own reference to what the cell currently serves.
+    current: Option<Arc<DirectorySnapshot>>,
+    /// …and to the publication before it, which the cell retired when
+    /// `current` went in: the buffer the next publish replays onto.
+    spare: Option<Arc<DirectorySnapshot>>,
 }
 
 impl SnapshotPublisher {
@@ -281,9 +409,9 @@ impl SnapshotPublisher {
         SnapshotPublisher {
             cell: ArcSwap::new(Arc::new(DirectorySnapshot::empty())),
             cadence,
-            pending: 0,
             stats: SnapshotStats::default(),
-            last_published: None,
+            current: None,
+            spare: None,
         }
     }
 
@@ -294,21 +422,18 @@ impl SnapshotPublisher {
         }
     }
 
-    /// Record that `n` cache updates landed since the last publication.
-    pub fn note_updates(&mut self, n: u64) {
-        self.pending = self.pending.saturating_add(n);
-    }
-
     /// Publish if the cadence policy says so: first publication is
-    /// immediate, afterwards updates must be pending *and* either the
-    /// interval has elapsed or the pending backlog hit `max_pending`.
+    /// immediate, afterwards the cache must have changed since the last
+    /// one *and* either the interval has elapsed or the backlog of
+    /// changes hit `max_pending`.
     pub fn maybe_publish(&mut self, now: SimTime, dir: &SessionDirectory) -> bool {
-        let due = match self.last_published {
+        let due = match &self.current {
             None => true,
-            Some(last) => {
-                self.pending > 0
-                    && (now.saturating_since(last) >= self.cadence.min_interval
-                        || self.pending >= self.cadence.max_pending)
+            Some(current) => {
+                let pending = dir.cache().change_seq().abs_diff(current.cursor);
+                pending > 0
+                    && (now.saturating_since(current.published_at) >= self.cadence.min_interval
+                        || pending >= self.cadence.max_pending)
             }
         };
         if due {
@@ -317,16 +442,48 @@ impl SnapshotPublisher {
         due
     }
 
+    /// The publication before last as an owned value, if nobody else
+    /// can still see it.  The cell retired it when `current` replaced
+    /// it and drops its reference once no guard can refer to it (the
+    /// epoch argument in `vendor/crossbeam/src/epoch.rs`); any
+    /// `load_full` holder owns a reference of its own.  So ours is the
+    /// last one — `try_unwrap` succeeds — exactly when no reader of
+    /// either kind is left.
+    fn reclaim_spare(&mut self) -> Option<DirectorySnapshot> {
+        let spare = self.spare.take()?;
+        self.cell.try_collect();
+        Arc::try_unwrap(spare).ok()
+    }
+
     /// Unconditional publication (used at startup and by tests).
     pub fn publish(&mut self, now: SimTime, dir: &SessionDirectory) {
+        let cache = dir.cache();
         let version = self.stats.published + 1;
-        let snap = DirectorySnapshot::capture(version, now, dir);
+        // A spare that cannot replay is dropped before the capture that
+        // stands in for it, keeping two snapshots resident, not three.
+        let replayed = self.reclaim_spare().and_then(|mut snap| {
+            let rewritten = snap.replay(cache)?;
+            snap.version = version;
+            snap.published_at = now;
+            Some((snap, rewritten))
+        });
+        self.stats.replayed += u64::from(replayed.is_some());
+        let (snap, rewritten) = replayed.unwrap_or_else(|| {
+            let snap = DirectorySnapshot::capture(version, now, dir);
+            let rows = snap.len();
+            (snap, rows)
+        });
+        let batch = self
+            .current
+            .as_ref()
+            .map_or(0, |current| snap.cursor.abs_diff(current.cursor));
         self.stats.published = version;
         self.stats.last_rows = snap.len();
-        self.stats.max_batch = self.stats.max_batch.max(self.pending);
-        self.pending = 0;
-        self.last_published = Some(now);
-        self.cell.store(Arc::new(snap));
+        self.stats.rows_rewritten = rewritten;
+        self.stats.max_batch = self.stats.max_batch.max(batch);
+        let snap = Arc::new(snap);
+        self.spare = self.current.replace(Arc::clone(&snap));
+        self.cell.store(snap);
     }
 
     /// Publication counters so far.
@@ -392,7 +549,27 @@ impl SnapshotReader {
 mod tests {
     use super::*;
     use sdalloc_core::{AddrSpace, InformedRandomAllocator};
-    use sdalloc_sap::{DirectoryConfig, SessionDescription};
+    use sdalloc_sap::wire::msg_id_hash;
+    use sdalloc_sap::{DirectoryConfig, SapPacket, SessionDescription};
+    use sdalloc_sim::SimRng;
+
+    fn description(i: usize) -> SessionDescription {
+        SessionDescription {
+            origin: sdalloc_sap::Origin {
+                username: "-".into(),
+                session_id: 100 + i as u64,
+                version: 1,
+                address: Ipv4Addr::new(10, 0, 1, 1 + (i % 200) as u8),
+            },
+            name: format!("session-{i}"),
+            info: None,
+            group: Ipv4Addr::new(224, 2, 0, 1 + (i % 200) as u8),
+            ttl: 127,
+            start: 0,
+            stop: 0,
+            media: vec![],
+        }
+    }
 
     fn directory_with(n: usize) -> SessionDirectory {
         let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
@@ -400,22 +577,7 @@ mod tests {
         let mut dir = SessionDirectory::new(cfg, Box::new(InformedRandomAllocator));
         let now = SimTime::from_secs(1);
         for i in 0..n {
-            let desc = SessionDescription {
-                origin: sdalloc_sap::Origin {
-                    username: "-".into(),
-                    session_id: 100 + i as u64,
-                    version: 1,
-                    address: Ipv4Addr::new(10, 0, 1, 1 + (i % 200) as u8),
-                },
-                name: format!("session-{i}"),
-                info: None,
-                group: Ipv4Addr::new(224, 2, 0, 1 + (i % 200) as u8),
-                ttl: 127,
-                start: 0,
-                stop: 0,
-                media: vec![],
-            };
-            dir.cache_observe_for_test(now, desc);
+            dir.cache_observe_for_test(now, description(i));
         }
         dir
     }
@@ -448,30 +610,106 @@ mod tests {
 
     #[test]
     fn cadence_batches_publications() {
-        let dir = directory_with(3);
+        let mut dir = directory_with(3);
         let mut p = SnapshotPublisher::new(SnapshotCadence {
             min_interval: SimDuration::from_millis(100),
             max_pending: 10,
         });
+        let touch = |dir: &mut SessionDirectory, n: usize| {
+            for i in 0..n {
+                dir.cache_observe_for_test(SimTime::from_secs(2), description(i % 3));
+            }
+        };
         // First publication is unconditional.
         assert!(p.maybe_publish(SimTime::from_millis(1), &dir));
-        // No updates pending: nothing to publish.
+        // The cache has not changed: nothing to publish.
         assert!(!p.maybe_publish(SimTime::from_millis(500), &dir));
-        p.note_updates(1);
+        touch(&mut dir, 1);
         assert!(
             p.maybe_publish(SimTime::from_millis(510), &dir),
             "interval elapsed"
         );
-        // Updates inside the interval: held back…
-        p.note_updates(1);
+        // Changes inside the interval: held back…
+        touch(&mut dir, 1);
         assert!(!p.maybe_publish(SimTime::from_millis(560), &dir));
         // …until the interval elapses.
         assert!(p.maybe_publish(SimTime::from_millis(611), &dir));
         // A backlog at max_pending forces through the interval.
-        p.note_updates(10);
+        touch(&mut dir, 10);
         assert!(p.maybe_publish(SimTime::from_millis(612), &dir));
         assert_eq!(p.stats().published, 4);
         assert_eq!(p.stats().max_batch, 10);
+    }
+
+    #[test]
+    fn replay_tracks_refresh_move_insert_and_removal() {
+        let mut dir = directory_with(40);
+        let mut p = SnapshotPublisher::new(SnapshotCadence::default());
+        let mut reader = p.handle().reader();
+        let t = SimTime::from_secs;
+        p.publish(t(2), &dir);
+        p.publish(t(3), &dir);
+        assert_eq!(p.stats().replayed, 0, "the first two publishes capture");
+        assert_eq!(p.stats().rows_rewritten, 40);
+
+        // Nothing changed: the spare replays an empty batch.
+        p.publish(t(4), &dir);
+        assert_eq!((p.stats().replayed, p.stats().rows_rewritten), (1, 0));
+
+        // One refresh, one move onto a group nobody used, one brand-new
+        // session sharing a group, one delete that empties its group.
+        dir.cache_observe_for_test(t(5), description(7));
+        let mut moved = description(8);
+        moved.origin.version = 2;
+        moved.group = Ipv4Addr::new(224, 2, 9, 9);
+        dir.cache_observe_for_test(t(5), moved);
+        let mut shared = description(300);
+        shared.group = description(7).group;
+        dir.cache_observe_for_test(t(5), shared);
+        let gone = description(9);
+        let payload = gone.format();
+        let delete = SapPacket::delete(gone.origin.address, msg_id_hash(&payload), payload);
+        dir.on_packet(t(5), &delete, &mut SimRng::new(1));
+        p.publish(t(6), &dir);
+        assert_eq!((p.stats().replayed, p.stats().rows_rewritten), (2, 4));
+        assert_eq!(p.stats().last_rows, 40);
+
+        let snap = reader.load();
+        let fresh = DirectorySnapshot::capture(snap.version(), t(6), &dir);
+        assert_eq!((snap.rows(), snap.groups()), (fresh.rows(), fresh.groups()));
+        assert_eq!(snap.corrupt_rows(), 0);
+        assert_eq!((snap.version(), snap.published_at()), (4, t(6)));
+        assert!(snap.group_in_use(Ipv4Addr::new(224, 2, 9, 9)));
+        assert!(!snap.group_in_use(gone.group));
+        assert!(!snap.group_in_use(description(8).group), "8 moved away");
+        assert!(snap
+            .get(gone.origin.address, gone.origin.session_id)
+            .is_none());
+    }
+
+    #[test]
+    fn a_held_spare_or_a_lost_cursor_falls_back_to_capture() {
+        let mut dir = directory_with(5);
+        let mut p = SnapshotPublisher::new(SnapshotCadence::default());
+        let mut reader = p.handle().reader();
+        let t = SimTime::from_secs;
+        p.publish(t(2), &dir);
+        let held = reader.load_full(); // version 1: the next spare
+        p.publish(t(3), &dir);
+        p.publish(t(4), &dir);
+        assert_eq!(p.stats().replayed, 0, "a reader still owns the spare");
+        assert_eq!(held.version(), 1);
+        drop(held);
+        p.publish(t(5), &dir);
+        assert_eq!(p.stats().replayed, 1);
+        // A restart replaces the cache: no cursor survives it.
+        dir.restart(t(6));
+        p.publish(t(6), &dir);
+        p.publish(t(7), &dir);
+        assert_eq!(p.stats().replayed, 1, "both spares predate the restart");
+        assert_eq!(reader.load().len(), 0);
+        p.publish(t(8), &dir);
+        assert_eq!(p.stats().replayed, 2);
     }
 
     #[test]

@@ -70,9 +70,22 @@
 //! heard exactly once) names the newest-unproven tier.  Both are
 //! `BTreeMap`/`BTreeSet` so iteration order — and therefore every
 //! eviction decision and chaos report — is identical across runs.
+//!
+//! ## Change journal
+//!
+//! A snapshot publisher that already holds a copy of the table wants
+//! only what moved since.  The cache appends the key of every mutation
+//! — admit, modify, refresh (rows carry `last_heard`) and every
+//! removal — to a bounded ring numbered by a monotone sequence:
+//! [`Self::change_seq`] is the cursor, [`Self::changes_since`] replays
+//! from one.  The ring holds keys, not [`SessionId`]s (ids are
+//! recycled), and at most `max(JOURNAL_FLOOR, len())` of them: a
+//! journal longer than the table is worth less than re-reading the
+//! table, so a cursor that fell off the tail gets `None` and the caller
+//! does exactly that.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use sdalloc_core::{AddrSpace, VisibleSession};
@@ -97,6 +110,10 @@ pub const DIGEST_SEED: u64 = 0x5d1c_4a11_0c8d_1697;
 /// administrative-scope nesting (site ≤ 15, region ≤ 63, continent
 /// ≤ 127, world above).
 pub const TTL_BANDS: usize = 4;
+
+/// Change-journal entries kept however small the table is, so a
+/// near-empty cache can still replay a burst of admits.
+const JOURNAL_FLOOR: usize = 1024;
 
 /// Cache key: who announced, which of their sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -286,6 +303,11 @@ pub struct AnnouncementCache {
     /// Reused output buffer for the purge methods: no allocation on the
     /// (overwhelmingly common) calls where nothing expires.
     scratch: Vec<CacheKey>,
+    /// Keys of the most recent mutations, oldest first; the entry at
+    /// the back has sequence number `change_seq - 1`.
+    journal: VecDeque<CacheKey>,
+    /// Mutations journalled so far (the next entry's sequence number).
+    change_seq: u64,
 }
 
 impl AnnouncementCache {
@@ -309,7 +331,47 @@ impl AnnouncementCache {
             origin_keys: HashMap::new(),
             unverified: BTreeSet::new(),
             scratch: Vec::new(),
+            journal: VecDeque::new(),
+            change_seq: 0,
         }
+    }
+
+    /// The empty cache a restarted process rebuilds from.  Its journal
+    /// resumes one past this cache's with nothing retained, so a cursor
+    /// taken before the restart cannot replay across it — and differs
+    /// from the new [`Self::change_seq`], so the loss itself reads as a
+    /// change.
+    pub fn restarted(&self) -> AnnouncementCache {
+        let mut fresh = AnnouncementCache::new(self.timeout);
+        fresh.change_seq = self.change_seq + 1;
+        fresh
+    }
+
+    /// Journal one mutation of `key`, dropping what no longer fits.
+    fn note_change(&mut self, key: CacheKey) {
+        self.journal.push_back(key); // lint:allow(wire-taint): bounded ring — trimmed to max(JOURNAL_FLOOR, len()) two lines down, so wire traffic cannot grow it past the table it describes
+        self.change_seq += 1;
+        let bound = self.ids.len().max(JOURNAL_FLOOR);
+        while self.journal.len() > bound {
+            self.journal.pop_front();
+        }
+    }
+
+    /// The journal cursor: how many mutations this cache (and the ones
+    /// it was [`Self::restarted`] from) has seen.  Two equal cursors
+    /// bracket a span in which no row changed.
+    pub fn change_seq(&self) -> u64 {
+        self.change_seq
+    }
+
+    /// Keys mutated since the cursor `seq`, oldest first, repeats
+    /// included.  `None` means "cannot replay" — the ring has dropped
+    /// entries after `seq`, or `seq` is not a cursor of this cache's
+    /// lineage — never "nothing changed", which is an empty iterator.
+    pub fn changes_since(&self, seq: u64) -> Option<impl Iterator<Item = CacheKey> + '_> {
+        let behind = self.change_seq.checked_sub(seq)?;
+        let skip = (self.journal.len() as u64).checked_sub(behind)?;
+        Some(self.journal.range(skip as usize..).copied())
     }
 
     /// The TTL partition band a scope falls in: site (≤ 15), region
@@ -455,6 +517,7 @@ impl AnnouncementCache {
                     .or_default()
                     .insert(key.session_id);
                 self.unverified.insert((now, key));
+                self.note_change(key);
                 CacheUpdate::New
             }
             Some(id) => {
@@ -537,6 +600,9 @@ impl AnnouncementCache {
                 if became_verified {
                     self.unverified.remove(&(first_heard, key));
                 }
+                // A pure refresh still moves `last_heard`, which
+                // snapshot rows carry.
+                self.note_change(key);
                 if modified {
                     CacheUpdate::Modified
                 } else {
@@ -546,10 +612,11 @@ impl AnnouncementCache {
         }
     }
 
-    /// Drop the digest/governor index state of a just-removed record.
-    /// Every removal path (delete, purge, eviction) funnels here so the
-    /// accumulators stay exact.
+    /// Drop the digest/governor index state of a just-removed record
+    /// and journal the removal.  Every removal path (delete, purge,
+    /// eviction) funnels here so the accumulators stay exact.
     fn forget_record(&mut self, key: CacheKey, rec: &SessionRecord) {
+        self.note_change(key);
         let band = Self::ttl_band(rec.ttl);
         let bucket = Self::bucket_of(&key);
         self.bands[band].digests[bucket] ^= Self::hash_parts(&key, rec.group, rec.version); // lint:allow(panic-reach): ttl_band and bucket_of map into their array bounds
@@ -1417,6 +1484,83 @@ mod tests {
         );
         let h2 = c.handle_of(Ipv4Addr::new(10, 0, 0, 2), 2).unwrap();
         assert_eq!(c.resolve(h2).unwrap().key().session_id, 2);
+    }
+
+    #[test]
+    fn journal_records_every_row_change_and_nothing_else() {
+        let mut c = AnnouncementCache::new(SimDuration::from_secs(100));
+        let key = |ip: u8, sid: u64| CacheKey {
+            origin: Ipv4Addr::new(10, 0, 0, ip),
+            session_id: sid,
+        };
+        let since =
+            |c: &AnnouncementCache, seq| c.changes_since(seq).map(Iterator::collect::<Vec<_>>);
+        assert_eq!(c.change_seq(), 0);
+        assert_eq!(
+            since(&c, 0),
+            Some(vec![]),
+            "nothing changed, not 'cannot replay'"
+        );
+        let d1 = desc([10, 0, 0, 1], 1, 2, [224, 2, 128, 1], 63);
+        c.observe_announce(t(0), d1.clone()); // new
+        c.observe_announce(t(1), d1.clone()); // refresh moves last_heard
+        let mut older = d1.clone();
+        older.origin.version = 1;
+        assert_eq!(c.observe_announce(t(2), older), CacheUpdate::Stale);
+        assert_eq!(c.change_seq(), 2, "a stale announcement changes no row");
+        c.observe_announce(t(3), desc([10, 0, 0, 2], 2, 1, [224, 2, 128, 2], 63));
+        let cursor = c.change_seq();
+        assert!(c.observe_delete(Ipv4Addr::new(10, 0, 0, 2), 2));
+        assert!(!c.observe_delete(Ipv4Addr::new(10, 0, 0, 2), 2));
+        c.purge_expired(t(200)); // expires session 1
+        assert_eq!(since(&c, cursor), Some(vec![key(2, 2), key(1, 1)]));
+        assert_eq!(
+            since(&c, 0),
+            Some(vec![key(1, 1), key(1, 1), key(2, 2), key(2, 2), key(1, 1)])
+        );
+        assert_eq!(since(&c, c.change_seq()), Some(vec![]));
+        assert!(
+            since(&c, c.change_seq() + 1).is_none(),
+            "a cursor from the future"
+        );
+    }
+
+    #[test]
+    fn journal_is_bounded_and_a_lost_cursor_cannot_replay() {
+        let mut c = AnnouncementCache::new(SimDuration::from_secs(100));
+        let d = desc([10, 0, 0, 1], 1, 1, [224, 2, 128, 1], 63);
+        c.observe_announce(t(0), d.clone());
+        let cursor = c.change_seq();
+        for _ in 0..JOURNAL_FLOOR {
+            c.observe_announce(t(1), d.clone());
+        }
+        assert_eq!(
+            c.changes_since(cursor).map(Iterator::count),
+            Some(JOURNAL_FLOOR)
+        );
+        assert!(c.changes_since(cursor - 1).is_none(), "fell off the tail");
+        c.observe_announce(t(2), d.clone());
+        assert!(c.changes_since(cursor).is_none());
+        assert_eq!(c.journal.len(), JOURNAL_FLOOR);
+        // A table larger than the floor earns a journal as long as itself.
+        let n = JOURNAL_FLOOR as u64 + 500;
+        for sid in 0..n {
+            let ip = [10, 1, (sid >> 8) as u8, sid as u8];
+            c.observe_announce(t(3), desc(ip, sid, 1, [224, 2, 128, 1], 63));
+        }
+        assert_eq!(c.journal.len(), c.len());
+        // The survivor of a restart starts a fresh ring past the old
+        // cursor: nothing from before replays, and the loss shows.
+        let before = c.change_seq();
+        let fresh = c.restarted();
+        assert!(fresh.is_empty());
+        assert!(fresh.change_seq() > before);
+        assert!(fresh.changes_since(before).is_none());
+        assert!(fresh.changes_since(0).is_none());
+        assert_eq!(
+            fresh.changes_since(fresh.change_seq()).map(Iterator::count),
+            Some(0)
+        );
     }
 
     #[test]

@@ -1238,7 +1238,7 @@ impl SessionDirectory {
             [("own_sessions", self.own.len() as u64), NO_ARG, NO_ARG],
         );
         let entries_at_crash = self.cache.len() as u64;
-        self.cache = AnnouncementCache::new(self.cfg.cache_timeout);
+        self.cache = self.cache.restarted();
         // The responder's pending defences die with the process, but
         // its telemetry (counters, flight ring) survives the rebuild.
         let responder_telemetry = self.responder.take_telemetry();

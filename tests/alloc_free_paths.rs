@@ -1,6 +1,8 @@
-//! Allocation gates for the two paths that must stay off the heap at
-//! scale: a steady-state refresh through the zero-copy admit path, and
-//! the reader query mix on a published snapshot.
+//! Allocation gates for the paths that must stay off the heap at scale:
+//! a steady-state refresh through the zero-copy admit path, the reader
+//! query mix on a published snapshot, and — as a count that a noisy
+//! host cannot blur — a snapshot publish whose cost must follow the
+//! rows that changed, not the rows there are.
 //!
 //! One counting `#[global_allocator]` shim tallies allocation events
 //! per thread, so the gates see only the calls they bracket — not the
@@ -131,6 +133,65 @@ fn steady_state_refresh_does_not_allocate() {
         events <= SLACK,
         "{events} allocation events across {REFRESHES} steady-state refreshes \
          (slack {SLACK}) — the zero-copy refresh path is allocating"
+    );
+}
+
+/// Publish a `rows`-row directory twice, refresh 500 of its sessions,
+/// publish again: allocation events and publisher counters of that
+/// third publish.
+fn publish_after_500_refreshes(rows: usize) -> (u64, sdalloc_runtime::SnapshotStats) {
+    const REFRESHED: usize = 500;
+    let space = AddrSpace::new(Ipv4Addr::new(224, 2, 0, 0), rows as u32);
+    let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
+    cfg.space = space;
+    let mut dir = SessionDirectory::new(cfg, Box::new(InformedRandomAllocator));
+    for i in 0..rows {
+        dir.cache_observe_for_test(SimTime::from_secs(1), session(i, &space));
+    }
+    let mut publisher = SnapshotPublisher::new(SnapshotCadence::default());
+    publisher.publish(SimTime::from_secs(2), &dir);
+    publisher.publish(SimTime::from_secs(3), &dir);
+    assert_eq!(publisher.stats().replayed, 0, "no spare before the third");
+    let stride = rows / REFRESHED;
+    for i in 0..REFRESHED {
+        dir.cache_observe_for_test(SimTime::from_secs(4), session(i * stride, &space));
+    }
+    let before = alloc_events();
+    publisher.publish(SimTime::from_secs(5), &dir);
+    let events = alloc_events() - before;
+    let snap = publisher.handle().load_slow();
+    assert_eq!(snap.len(), rows);
+    assert_eq!(snap.corrupt_rows(), 0);
+    let refreshed = snap
+        .rows()
+        .iter()
+        .filter(|r| r.last_heard == SimTime::from_secs(4))
+        .count();
+    assert_eq!(refreshed, REFRESHED, "the replayed snapshot is current");
+    (events, publisher.stats())
+}
+
+#[test]
+fn replay_publish_costs_what_changed_not_what_is_cached() {
+    // Wall time on a shared host cannot separate O(changes) from
+    // O(rows) reliably; these two counts can.  Thirty times the rows,
+    // the same 500 changes: the same rows written, the same handful of
+    // allocations (the key batch, the `Arc`).
+    const SLACK: u64 = 16;
+    let (small_events, small) = publish_after_500_refreshes(1_000);
+    let (large_events, large) = publish_after_500_refreshes(30_000);
+    for stats in [small, large] {
+        assert_eq!(stats.replayed, 1, "the third publish must replay");
+        assert_eq!(stats.rows_rewritten, 500);
+    }
+    assert_eq!((small.last_rows, large.last_rows), (1_000, 30_000));
+    assert_eq!(
+        small_events, large_events,
+        "allocations per replayed publish must not depend on table size"
+    );
+    assert!(
+        small_events <= SLACK,
+        "{small_events} allocation events in one replayed publish (slack {SLACK})"
     );
 }
 

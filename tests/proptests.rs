@@ -604,3 +604,138 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Snapshot publication: replaying the change journal ≡ capturing afresh
+// ---------------------------------------------------------------------
+
+/// Session `i` of the replay model as third parties announce it.  Eight
+/// groups for 24 sessions, so sessions share groups (a removal must not
+/// free a group its neighbour still uses); `moved` lands on a second
+/// set of groups and another TTL band.
+fn replay_session(i: usize, version: u64, renamed: bool, moved: bool) -> SessionDescription {
+    let mut desc = slab_session(i, version);
+    desc.group = Ipv4Addr::new(224, 6, u8::from(moved), (i % 8) as u8);
+    if moved {
+        desc.ttl = 255 - desc.ttl;
+    }
+    if renamed {
+        desc.name = format!("renamed{i}");
+    }
+    desc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Whatever happens to the cache between two publishes — admits,
+    /// refreshes, same-version renames, group- and TTL-moving
+    /// modifications, deletions, expiry, governor eviction at the entry
+    /// budget, a restart, a burst longer than the journal — and whether
+    /// or not a reader pins the spare with an owned `Arc` (which forces
+    /// the capture fallback), the snapshot the publisher serves equals
+    /// a fresh [`DirectorySnapshot::capture`] of the same directory.
+    #[test]
+    fn replayed_snapshot_equals_fresh_capture(
+        ops in proptest::collection::vec((0u8..12, 0usize..24, 1u64..40), 1..100),
+    ) {
+        use sdalloc::core::InformedRandomAllocator;
+        use sdalloc::runtime::{DirectorySnapshot, SnapshotCadence, SnapshotPublisher};
+        use sdalloc::sap::wire::msg_id_hash;
+        use sdalloc::sap::{DirectoryConfig, GovernorConfig, SessionDirectory};
+
+        let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
+        cfg.cache_timeout = SimDuration::from_secs(30);
+        // A budget below the 24-session population: admits at the
+        // budget evict.  The rate limit is out of the way.
+        cfg.governor = Some(GovernorConfig {
+            max_entries: 16,
+            rate_per_sec: 1e9,
+            burst: 1e9,
+            ..GovernorConfig::default()
+        });
+        let mut dir = SessionDirectory::new(cfg, Box::new(InformedRandomAllocator));
+        let mut rng = SimRng::new(5);
+        let mut publisher = SnapshotPublisher::new(SnapshotCadence::default());
+        let handle = publisher.handle();
+        let mut reader = handle.reader();
+        let mut held = Vec::new();
+        let mut version = [1u64; 24];
+        let mut now = SimTime::ZERO;
+        let mut replays_seen = 0;
+
+        for (op, i, delta) in ops {
+            now += SimDuration::from_millis(100);
+            let announce = |dir: &mut SessionDirectory, rng: &mut SimRng, now, desc: SessionDescription| {
+                let payload = desc.format();
+                let pkt = SapPacket::announce(desc.origin.address, msg_id_hash(&payload), payload);
+                dir.on_packet(now, &pkt, rng);
+            };
+            match op {
+                // Admit or refresh.
+                0..=2 => announce(&mut dir, &mut rng, now, replay_session(i, version[i], false, false)),
+                // Same version, different name.
+                3 => announce(&mut dir, &mut rng, now, replay_session(i, version[i], true, false)),
+                // New version on another group, in another TTL band.
+                4 => {
+                    version[i] += 1;
+                    let moved = version[i] % 2 == 0;
+                    announce(&mut dir, &mut rng, now, replay_session(i, version[i], false, moved));
+                }
+                // Deletion packet.
+                5 => {
+                    let desc = replay_session(i, version[i], false, false);
+                    let payload = desc.format();
+                    let pkt = SapPacket::delete(desc.origin.address, msg_id_hash(&payload), payload);
+                    dir.on_packet(now, &pkt, &mut rng);
+                }
+                // Let time pass: entries not refreshed lately expire.
+                6 => {
+                    now += SimDuration::from_secs(delta);
+                    let _ = dir.poll(now);
+                }
+                7 => dir.restart(now),
+                // More refreshes than the journal keeps.
+                8 if delta > 36 => {
+                    for _ in 0..1_100 {
+                        announce(&mut dir, &mut rng, now, replay_session(i, version[i], false, false));
+                    }
+                }
+                // Publish; sometimes keep an owned reference to what was
+                // current, alive across the next two publishes.
+                _ => {
+                    held.retain_mut(|(publishes_left, _)| {
+                        *publishes_left -= 1;
+                        *publishes_left > 0
+                    });
+                    if op == 11 {
+                        held.push((3, reader.load_full()));
+                    }
+                    publisher.publish(now, &dir);
+                    let stats = publisher.stats();
+                    let snap = handle.load_slow();
+                    let fresh = DirectorySnapshot::capture(stats.published, now, &dir);
+                    prop_assert_eq!(snap.version(), stats.published);
+                    prop_assert_eq!(snap.published_at(), now);
+                    prop_assert_eq!(snap.rows(), fresh.rows(), "rows diverge (replayed {})", stats.replayed);
+                    prop_assert_eq!(snap.groups(), fresh.groups(), "groups diverge");
+                    prop_assert!(snap.rows().windows(2).all(|w| w[0].key < w[1].key));
+                    prop_assert!(snap.groups().windows(2).all(|w| w[0] < w[1]));
+                    prop_assert_eq!(snap.corrupt_rows(), 0);
+                    prop_assert_eq!(stats.last_rows, dir.cached_sessions());
+                    for row in snap.rows() {
+                        prop_assert!(snap.group_in_use(row.group));
+                    }
+                    replays_seen = stats.replayed;
+                }
+            }
+        }
+        // Not vacuous: with nobody holding the spare, a third publish
+        // in a row replays.
+        held.clear();
+        for _ in 0..3 {
+            publisher.publish(now, &dir);
+        }
+        prop_assert!(publisher.stats().replayed > replays_seen);
+    }
+}
