@@ -4,20 +4,14 @@
 //! Measures the three hot cache operations at directory scale — 10k,
 //! 100k and one **million** cached sessions — against the generational
 //! slab [`AnnouncementCache`] (contiguous arena, TTL-band sharded
-//! expiry heaps, interned strings).  At 10k/100k every workload also
-//! runs against `LegacyCache`, an in-bin replica of the pre-refactor
-//! full-scan implementation; the legacy comparison is *not* run at 1M,
-//! where the full-scan side would dominate wall time without saying
-//! anything new.  Workloads:
+//! expiry heaps, interned strings).  Workloads:
 //!
 //! * **announce_churn** — steady-state refresh traffic with a purge
-//!   check per round (the directory's cache-expiry timer path).  The
-//!   legacy purge is a full `retain` scan even when nothing expires.
+//!   check per round (the directory's cache-expiry timer path).
 //! * **allocation_probe** — `users_of` on random groups (the clash
 //!   probe run on every received announcement) plus a periodic
 //!   `visible_sessions` projection (the allocator view).
-//! * **expiry** — age a fully-populated cache out in steps; legacy
-//!   rescans every surviving entry per step.
+//! * **expiry** — age a fully-populated cache out in steps.
 //! * **refresh_op / probe_op** — individually-timed operations on the
 //!   populated cache, reported as p50/p99 per-op latency.
 //!
@@ -28,15 +22,11 @@
 //!
 //! Run modes:
 //! * `--smoke` — 10k sessions, reduced iterations; prints the table and
-//!   exits non-zero if any workload regresses below 1× or if the
-//!   per-op refresh latency exceeds its ceiling (used by
+//!   exits non-zero if a per-op latency exceeds its ceiling (used by
 //!   `scripts/check.sh`; the allocation-free refresh gate is the tier-1
 //!   test `tests/alloc_free_paths.rs`).
 //! * full (no flag) — 10k, 100k and 1M sessions; also writes
-//!   `results_full/BENCH_scale.json`.  The scan workloads' speedups
-//!   grow with size (roughly 10x churn / 30x probe at 100k); the
-//!   sampled per-op rows sit near parity at 10k and pull ahead as the
-//!   legacy scans leave cache.
+//!   `results_full/BENCH_scale.json`.
 //!
 //! Both modes finish with the **telemetry overhead gate**: the full
 //! directory receive path (`on_packet` announcement traffic + announce
@@ -49,14 +39,13 @@
 //! Everything is driven from a fixed-seed [`SimRng`], so the work done
 //! (not the wall time) is identical across runs.
 
-use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use sdalloc_core::{AddrSpace, InformedRandomAllocator, VisibleSession};
-use sdalloc_sap::cache::{AnnouncementCache, CacheKey};
+use sdalloc_core::{AddrSpace, InformedRandomAllocator};
+use sdalloc_sap::cache::AnnouncementCache;
 use sdalloc_sap::directory::{DirectoryConfig, SessionDirectory, TimerKind};
 use sdalloc_sap::sdp::{Media, Origin, SessionDescription};
 use sdalloc_sap::wire::SapPacket;
@@ -72,177 +61,6 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// Hard cache timeout used by every scenario.
 const TIMEOUT: SimDuration = SimDuration::from_secs(3600);
-
-/// The pre-refactor cache: a bare `HashMap` where every hot operation
-/// is a full scan.  Kept verbatim-in-spirit so the benchmark compares
-/// algorithms, not incidental code differences — observation and
-/// removal bookkeeping match the indexed cache (including the
-/// reconciliation digests and governor indices both sides now
-/// maintain); only the lookups scan.
-struct LegacyCache {
-    entries: HashMap<CacheKey, LegacyEntry>,
-    timeout: SimDuration,
-    /// Matched-bookkeeping mirror of the indexed cache's per-bucket
-    /// digest accumulators.
-    digests: [u64; 16],
-    /// Matched-bookkeeping mirror of the governor's origin index.
-    origin_keys: HashMap<Ipv4Addr, BTreeSet<u64>>,
-    /// Matched-bookkeeping mirror of the governor's unverified tier.
-    unverified: BTreeSet<(SimTime, CacheKey)>,
-}
-
-/// The pre-refactor owned entry: a `String` per description field.
-struct LegacyEntry {
-    desc: SessionDescription,
-    first_heard: SimTime,
-    last_heard: SimTime,
-    announcements: u64,
-}
-
-impl LegacyCache {
-    fn new(timeout: SimDuration) -> Self {
-        LegacyCache {
-            entries: HashMap::new(),
-            timeout,
-            digests: [0; 16],
-            origin_keys: HashMap::new(),
-            unverified: BTreeSet::new(),
-        }
-    }
-
-    fn observe_announce(&mut self, now: SimTime, desc: SessionDescription) {
-        let key = CacheKey {
-            origin: desc.origin.address,
-            session_id: desc.origin.session_id,
-        };
-        match self.entries.get_mut(&key) {
-            None => {
-                let (bucket, hash) = AnnouncementCache::desc_digest(&desc);
-                self.digests[bucket] ^= hash;
-                self.origin_keys
-                    .entry(key.origin)
-                    .or_default()
-                    .insert(key.session_id);
-                self.unverified.insert((now, key));
-                self.entries.insert(
-                    key,
-                    LegacyEntry {
-                        desc,
-                        first_heard: now,
-                        last_heard: now,
-                        announcements: 1,
-                    },
-                );
-            }
-            Some(entry) => {
-                let (bucket, old_hash) = AnnouncementCache::desc_digest(&entry.desc);
-                let (_, new_hash) = AnnouncementCache::desc_digest(&desc);
-                if old_hash != new_hash {
-                    self.digests[bucket] ^= old_hash ^ new_hash;
-                }
-                entry.desc = desc;
-                entry.last_heard = now;
-                entry.announcements += 1;
-                if entry.announcements == 2 {
-                    self.unverified.remove(&(entry.first_heard, key));
-                }
-            }
-        }
-    }
-
-    fn purge_expired(&mut self, now: SimTime) -> usize {
-        let timeout = self.timeout;
-        let mut purged = Vec::new();
-        let digests = &mut self.digests;
-        let origin_keys = &mut self.origin_keys;
-        let unverified = &mut self.unverified;
-        self.entries.retain(|key, entry| {
-            if now.saturating_since(entry.last_heard) > timeout {
-                let (bucket, hash) = AnnouncementCache::desc_digest(&entry.desc);
-                digests[bucket] ^= hash;
-                if let Some(ids) = origin_keys.get_mut(&key.origin) {
-                    ids.remove(&key.session_id);
-                    if ids.is_empty() {
-                        origin_keys.remove(&key.origin);
-                    }
-                }
-                if entry.announcements < 2 {
-                    unverified.remove(&(entry.first_heard, *key));
-                }
-                purged.push(*key);
-                false
-            } else {
-                true
-            }
-        });
-        purged.sort_unstable();
-        purged.len()
-    }
-
-    fn users_of(&self, group: Ipv4Addr) -> usize {
-        let mut users: Vec<&CacheKey> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| entry.desc.group == group)
-            .map(|(key, _)| key)
-            .collect();
-        users.sort_unstable();
-        users.len()
-    }
-
-    fn visible_sessions(&self, space: &AddrSpace) -> Vec<VisibleSession> {
-        let mut view: Vec<VisibleSession> = self
-            .entries
-            .values()
-            .filter_map(|entry| {
-                space
-                    .index_of(entry.desc.group)
-                    .map(|addr| VisibleSession::new(addr, entry.desc.ttl))
-            })
-            .collect();
-        view.sort_unstable_by_key(|s| (s.addr.0, s.ttl));
-        view
-    }
-}
-
-/// The operations both implementations expose, so each workload is
-/// written once and timed against either side.
-trait CacheOps {
-    fn observe(&mut self, now: SimTime, desc: SessionDescription);
-    fn purge(&mut self, now: SimTime) -> usize;
-    fn probe(&self, group: Ipv4Addr) -> usize;
-    fn view_len(&self, space: &AddrSpace) -> usize;
-}
-
-impl CacheOps for LegacyCache {
-    fn observe(&mut self, now: SimTime, desc: SessionDescription) {
-        self.observe_announce(now, desc);
-    }
-    fn purge(&mut self, now: SimTime) -> usize {
-        self.purge_expired(now)
-    }
-    fn probe(&self, group: Ipv4Addr) -> usize {
-        self.users_of(group)
-    }
-    fn view_len(&self, space: &AddrSpace) -> usize {
-        self.visible_sessions(space).len()
-    }
-}
-
-impl CacheOps for AnnouncementCache {
-    fn observe(&mut self, now: SimTime, desc: SessionDescription) {
-        self.observe_announce(now, desc);
-    }
-    fn purge(&mut self, now: SimTime) -> usize {
-        self.purge_expired(now).len()
-    }
-    fn probe(&self, group: Ipv4Addr) -> usize {
-        self.users_of(group).count()
-    }
-    fn view_len(&self, space: &AddrSpace) -> usize {
-        self.visible_sessions(space).len()
-    }
-}
 
 /// Benchmark knobs for one run mode.
 struct Knobs {
@@ -289,9 +107,9 @@ fn session(i: usize, space: &AddrSpace) -> SessionDescription {
 
 /// Populate with `last_heard` staggered 10 ms apart, so expiry is
 /// spread rather than simultaneous.
-fn populate<C: CacheOps>(cache: &mut C, n: usize, space: &AddrSpace) {
+fn populate(cache: &mut AnnouncementCache, n: usize, space: &AddrSpace) {
     for i in 0..n {
-        cache.observe(
+        cache.observe_announce(
             SimTime::from_nanos(i as u64 * 10_000_000),
             session(i, space),
         );
@@ -301,31 +119,36 @@ fn populate<C: CacheOps>(cache: &mut C, n: usize, space: &AddrSpace) {
 /// Steady-state churn: refresh a random subset each round, then run the
 /// purge check the cache-expiry timer performs.  Nothing expires — the
 /// cost under test is the no-op purge plus refresh bookkeeping.
-fn announce_churn<C: CacheOps>(cache: &mut C, n: usize, space: &AddrSpace, knobs: &Knobs) -> usize {
+fn announce_churn(
+    cache: &mut AnnouncementCache,
+    n: usize,
+    space: &AddrSpace,
+    knobs: &Knobs,
+) -> usize {
     let mut rng = SimRng::new(11);
     let mut purged = 0;
     for round in 0..knobs.churn_rounds {
         let now = SimTime::from_secs(100 + round);
         for _ in 0..knobs.churn_per_round {
             let d = session(rng.index(n), space);
-            cache.observe(now, d);
+            cache.observe_announce(now, d);
         }
-        purged += cache.purge(now);
+        purged += cache.purge_expired(now).len();
     }
     purged
 }
 
 /// The clash probe: `users_of` on random groups, with the allocator
 /// view rebuilt every 64 probes.
-fn allocation_probe<C: CacheOps>(cache: &C, space: &AddrSpace, knobs: &Knobs) -> usize {
+fn allocation_probe(cache: &AnnouncementCache, space: &AddrSpace, knobs: &Knobs) -> usize {
     let mut rng = SimRng::new(13);
     let mut hits = 0;
     for i in 0..knobs.probes {
         let group =
             Ipv4Addr::from(u32::from(space.base()) + rng.below(u64::from(space.size())) as u32);
-        hits += cache.probe(group);
+        hits += cache.users_of(group).count();
         if i % 64 == 0 {
-            hits += cache.view_len(space);
+            hits += cache.visible_sessions(space).len();
         }
     }
     hits
@@ -333,16 +156,15 @@ fn allocation_probe<C: CacheOps>(cache: &C, space: &AddrSpace, knobs: &Knobs) ->
 
 /// Age the whole cache out in steps; each step expires roughly
 /// `n / expiry_steps` entries.  A step models one poll tick during the
-/// drain window — the pre-refactor directory ran the purge scan on
-/// every poll, so the tick count is deliberately high.
-fn expiry<C: CacheOps>(cache: &mut C, n: usize, knobs: &Knobs) -> usize {
+/// drain window.
+fn expiry(cache: &mut AnnouncementCache, n: usize, knobs: &Knobs) -> usize {
     // Population spans [0, n * 10ms); step the clock so the horizon
     // sweeps that span in `expiry_steps` slices.
     let span_ns = n as u64 * 10_000_000;
     let mut purged = 0;
     for step in 1..=knobs.expiry_steps {
         let now = SimTime::from_nanos(TIMEOUT.as_nanos() + span_ns * step / knobs.expiry_steps + 1);
-        purged += cache.purge(now);
+        purged += cache.purge_expired(now).len();
     }
     purged
 }
@@ -354,38 +176,12 @@ fn percentiles(samples: &mut [u64]) -> (u64, u64) {
     (pick(50), pick(99))
 }
 
-/// Individually-timed refresh operations, each side driven through its
-/// natural receive path with fixtures built before the clock starts:
-/// the legacy cache consumes an owned description (its entries own
-/// their strings, so a refresh must hand one over), the indexed cache
-/// consumes a borrowed view (`on_packet` parses once and refreshes
-/// zero-copy).  Returns (total_ns, p50_ns, p99_ns).
-fn refresh_op_latency_legacy(
-    cache: &mut LegacyCache,
-    n: usize,
-    space: &AddrSpace,
-    ops: usize,
-) -> (u128, u64, u64) {
-    let mut rng = SimRng::new(19);
-    let mut samples = Vec::with_capacity(ops);
-    let now = SimTime::from_secs(500);
-    for _ in 0..ops {
-        let d = session(rng.index(n), space);
-        let start = Instant::now();
-        cache.observe_announce(now, d);
-        samples.push(start.elapsed().as_nanos() as u64);
-    }
-    let total: u128 = samples.iter().map(|&s| u128::from(s)).sum();
-    let (p50, p99) = percentiles(&mut samples);
-    (total, p50, p99)
-}
-
-/// Indexed-side counterpart of [`refresh_op_latency_legacy`]: the
-/// owned fixture and its borrowed view are built outside the timed
-/// window, so the sample is `observe_announce_ref` alone — the
-/// operation the directory performs per received announcement after
-/// the one-time parse.
-fn refresh_op_latency_indexed(
+/// Individually-timed refresh operations.  The owned fixture and its
+/// borrowed view are built outside the timed window, so the sample is
+/// `observe_announce_ref` alone — the operation the directory performs
+/// per received announcement after the one-time parse.  Returns
+/// (total_ns, p50_ns, p99_ns).
+fn refresh_op_latency(
     cache: &mut AnnouncementCache,
     n: usize,
     space: &AddrSpace,
@@ -408,7 +204,7 @@ fn refresh_op_latency_indexed(
 
 /// Individually-timed `users_of` probes.  Returns (total_ns, p50_ns,
 /// p99_ns).
-fn probe_op_latency<C: CacheOps>(cache: &C, space: &AddrSpace, ops: usize) -> (u128, u64, u64) {
+fn probe_op_latency(cache: &AnnouncementCache, space: &AddrSpace, ops: usize) -> (u128, u64, u64) {
     let mut rng = SimRng::new(23);
     let mut samples = Vec::with_capacity(ops);
     let mut hits = 0usize;
@@ -416,7 +212,7 @@ fn probe_op_latency<C: CacheOps>(cache: &C, space: &AddrSpace, ops: usize) -> (u
         let group =
             Ipv4Addr::from(u32::from(space.base()) + rng.below(u64::from(space.size())) as u32);
         let start = Instant::now();
-        hits += cache.probe(group);
+        hits += cache.users_of(group).count();
         samples.push(start.elapsed().as_nanos() as u64);
     }
     black_box(hits);
@@ -434,138 +230,46 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
 struct Row {
     size: usize,
     workload: &'static str,
-    /// `None` at sizes where the full-scan comparator is not run (1M).
-    legacy_ns: Option<u128>,
-    indexed_ns: u128,
+    total_ns: u128,
     /// Per-op latency percentiles, for the individually-sampled rows.
     p50_ns: Option<u64>,
     p99_ns: Option<u64>,
 }
 
-impl Row {
-    fn speedup(&self) -> Option<f64> {
-        self.legacy_ns
-            .map(|l| l as f64 / self.indexed_ns.max(1) as f64)
-    }
-}
-
-/// Largest size at which the legacy full-scan comparator still runs;
-/// beyond this the quadratic scan side would dominate wall time.
-const LEGACY_CEILING: usize = 100_000;
-
 fn run_size(n: usize, knobs: &Knobs, rows: &mut Vec<Row>, rss: &mut Vec<(usize, u64)>) {
-    let with_legacy = n <= LEGACY_CEILING;
     let space = AddrSpace::new(Ipv4Addr::new(224, 2, 0, 0), n as u32);
+    let mut row = |workload, total_ns, percentiles: Option<(u64, u64)>| {
+        rows.push(Row {
+            size: n,
+            workload,
+            total_ns,
+            p50_ns: percentiles.map(|(p50, _)| p50),
+            p99_ns: percentiles.map(|(_, p99)| p99),
+        });
+    };
 
-    // announce_churn
-    let mut legacy = with_legacy.then(|| {
-        let mut c = LegacyCache::new(TIMEOUT);
-        populate(&mut c, n, &space);
-        c
-    });
-    let legacy_churn = legacy.as_mut().map(|c| {
-        let (out, ns) = timed(|| announce_churn(c, n, &space, knobs));
-        (out, ns)
-    });
-    let mut indexed = AnnouncementCache::new(TIMEOUT);
-    populate(&mut indexed, n, &space);
-    let (i_out, indexed_ns) = timed(|| announce_churn(&mut indexed, n, &space, knobs));
-    if let Some((l_out, _)) = legacy_churn {
-        assert_eq!(l_out, i_out, "churn purge counts diverge");
-    }
-    black_box(i_out);
-    rows.push(Row {
-        size: n,
-        workload: "announce_churn",
-        legacy_ns: legacy_churn.map(|(_, ns)| ns),
-        indexed_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
+    let mut cache = AnnouncementCache::new(TIMEOUT);
+    populate(&mut cache, n, &space);
+    let (purged, ns) = timed(|| announce_churn(&mut cache, n, &space, knobs));
+    assert_eq!(purged, 0, "steady-state churn must expire nothing");
+    row("announce_churn", ns, None);
 
-    // allocation_probe (on the churned caches — both hold all n entries)
-    let legacy_probe = legacy
-        .as_ref()
-        .map(|c| timed(|| allocation_probe(c, &space, knobs)));
-    let (i_out, indexed_ns) = timed(|| allocation_probe(&indexed, &space, knobs));
-    if let Some((l_out, _)) = legacy_probe {
-        assert_eq!(l_out, i_out, "probe hit counts diverge");
-    }
-    black_box(i_out);
-    rows.push(Row {
-        size: n,
-        workload: "allocation_probe",
-        legacy_ns: legacy_probe.map(|(_, ns)| ns),
-        indexed_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
+    // On the churned cache, which still holds all n entries.
+    let (hits, ns) = timed(|| allocation_probe(&cache, &space, knobs));
+    black_box(hits);
+    row("allocation_probe", ns, None);
 
-    // refresh_op / probe_op: per-op latency percentiles on the
-    // populated caches.
-    let legacy_refresh = legacy
-        .as_mut()
-        .map(|c| refresh_op_latency_legacy(c, n, &space, knobs.sampled_ops));
-    let (total, p50, p99) = refresh_op_latency_indexed(&mut indexed, n, &space, knobs.sampled_ops);
-    rows.push(Row {
-        size: n,
-        workload: "refresh_op",
-        legacy_ns: legacy_refresh.map(|(t, _, _)| t),
-        indexed_ns: total,
-        p50_ns: Some(p50),
-        p99_ns: Some(p99),
-    });
-    let legacy_probe_op = legacy
-        .as_ref()
-        .map(|c| probe_op_latency(c, &space, knobs.sampled_ops));
-    let (total, p50, p99) = probe_op_latency(&indexed, &space, knobs.sampled_ops);
-    rows.push(Row {
-        size: n,
-        workload: "probe_op",
-        legacy_ns: legacy_probe_op.map(|(t, _, _)| t),
-        indexed_ns: total,
-        p50_ns: Some(p50),
-        p99_ns: Some(p99),
-    });
+    let (total, p50, p99) = refresh_op_latency(&mut cache, n, &space, knobs.sampled_ops);
+    row("refresh_op", total, Some((p50, p99)));
+    let (total, p50, p99) = probe_op_latency(&cache, &space, knobs.sampled_ops);
+    row("probe_op", total, Some((p50, p99)));
 
-    // expiry (fresh caches: the churned ones have bunched last_heard)
-    let mut legacy = with_legacy.then(|| {
-        let mut c = LegacyCache::new(TIMEOUT);
-        populate(&mut c, n, &space);
-        c
-    });
-    let mut indexed = AnnouncementCache::new(TIMEOUT);
-    populate(&mut indexed, n, &space);
-    if let Some(c) = &legacy {
-        assert_eq!(
-            c.digests,
-            indexed.digest(),
-            "matched digest bookkeeping diverges after populate"
-        );
-        assert_ne!(c.digests, [0; 16], "populated digests must be non-zero");
-    }
-    let legacy_expiry = legacy.as_mut().map(|c| timed(|| expiry(c, n, knobs)));
-    let (i_out, indexed_ns) = timed(|| expiry(&mut indexed, n, knobs));
-    if let Some((l_out, _)) = legacy_expiry {
-        assert_eq!(l_out, i_out, "expiry purge counts diverge");
-    }
-    assert_eq!(i_out, n, "expiry must drain the whole cache");
-    if let Some(c) = &legacy {
-        assert_eq!(
-            c.digests,
-            indexed.digest(),
-            "matched digest bookkeeping returns to empty after full drain"
-        );
-    }
-    black_box(i_out);
-    rows.push(Row {
-        size: n,
-        workload: "expiry",
-        legacy_ns: legacy_expiry.map(|(_, ns)| ns),
-        indexed_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
+    // A fresh cache: the churned one has bunched last_heard.
+    let mut cache = AnnouncementCache::new(TIMEOUT);
+    populate(&mut cache, n, &space);
+    let (purged, ns) = timed(|| expiry(&mut cache, n, knobs));
+    assert_eq!(purged, n, "expiry must drain the whole cache");
+    row("expiry", ns, None);
 
     if let Some(kb) = peak_rss_kb() {
         rss.push((n, kb));
@@ -641,17 +345,13 @@ fn telemetry_overhead(smoke: bool) -> (u128, u128) {
 fn render_json(rows: &[Row], rss: &[(usize, u64)]) -> String {
     let mut out = String::from("{\n  \"bench\": \"directory_scale\",\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let legacy = r.legacy_ns.map_or("null".to_string(), |ns| ns.to_string());
-        let speedup = r
-            .speedup()
-            .map_or("null".to_string(), |s| format!("{s:.2}"));
         let p50 = r.p50_ns.map_or("null".to_string(), |ns| ns.to_string());
         let p99 = r.p99_ns.map_or("null".to_string(), |ns| ns.to_string());
         out.push_str(&format!(
-            "    {{\"size\": {}, \"workload\": \"{}\", \"legacy_ns\": {legacy}, \"indexed_ns\": {}, \"speedup\": {speedup}, \"p50_ns\": {p50}, \"p99_ns\": {p99}}}{}\n",
+            "    {{\"size\": {}, \"workload\": \"{}\", \"total_ns\": {}, \"p50_ns\": {p50}, \"p99_ns\": {p99}}}{}\n",
             r.size,
             r.workload,
-            r.indexed_ns,
+            r.total_ns,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -668,9 +368,14 @@ fn render_json(rows: &[Row], rss: &[(usize, u64)]) -> String {
 
 /// Smoke ceilings for the per-op gates, deliberately generous so only
 /// an algorithmic regression (a scan creeping back into the refresh or
-/// probe path) trips them on shared CI hardware.
+/// probe path) trips them on shared CI hardware.  The tail bar absorbs
+/// scheduler hiccups; the median bar is the one a full scan cannot get
+/// under: one pass over 10k entries costs 30 us optimised, against a
+/// measured median of 0.3-0.5 us (2.6 us in the unoptimised build
+/// `scripts/check.sh` runs).
 const SMOKE_REFRESH_P99_NS: u64 = 100_000;
 const SMOKE_PROBE_P99_NS: u64 = 200_000;
+const SMOKE_P50_NS: u64 = 20_000;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -701,23 +406,17 @@ fn main() {
     }
 
     println!(
-        "{:>8}  {:>17}  {:>12}  {:>12}  {:>8}  {:>9}  {:>9}",
-        "size", "workload", "legacy_ms", "indexed_ms", "speedup", "p50_ns", "p99_ns"
+        "{:>8}  {:>17}  {:>12}  {:>9}  {:>9}",
+        "size", "workload", "total_ms", "p50_ns", "p99_ns"
     );
     for r in &rows {
-        let legacy_ms = r
-            .legacy_ns
-            .map_or("-".to_string(), |ns| format!("{:.3}", ns as f64 / 1e6));
-        let speedup = r.speedup().map_or("-".to_string(), |s| format!("{s:.1}x"));
         let p50 = r.p50_ns.map_or("-".to_string(), |v| v.to_string());
         let p99 = r.p99_ns.map_or("-".to_string(), |v| v.to_string());
         println!(
-            "{:>8}  {:>17}  {:>12}  {:>12.3}  {:>8}  {:>9}  {:>9}",
+            "{:>8}  {:>17}  {:>12.3}  {:>9}  {:>9}",
             r.size,
             r.workload,
-            legacy_ms,
-            r.indexed_ns as f64 / 1e6,
-            speedup,
+            r.total_ns as f64 / 1e6,
             p50,
             p99,
         );
@@ -733,30 +432,6 @@ fn main() {
         println!("wrote results_full/BENCH_scale.json");
     }
 
-    // Regression gate: the indexed cache must never be slower than the
-    // legacy scan on the aggregate workloads (where the comparator
-    // runs).  The individually-sampled rows sit near parity by design
-    // — a slab refresh does the same O(1) work as a HashMap refresh —
-    // so they are gated by the absolute ceilings below instead.
-    // Smoke runs the aggregates at 10k where expiry sits near parity
-    // and finishes in ~15ms, so a scheduler hiccup can push a row a
-    // hair under 1.0x; allow 15% noise there.  Full runs keep the
-    // strict bar — at 100k+ the real margins are 4-30x.
-    let floor = if smoke { 0.85 } else { 1.0 };
-    let regressed: Vec<&Row> = rows
-        .iter()
-        .filter(|r| r.p50_ns.is_none() && r.speedup().is_some_and(|s| s < floor))
-        .collect();
-    if !regressed.is_empty() {
-        for r in regressed {
-            eprintln!(
-                "REGRESSION: {} @ {} — indexed {}ns vs legacy {:?}ns",
-                r.workload, r.size, r.indexed_ns, r.legacy_ns
-            );
-        }
-        std::process::exit(1);
-    }
-
     // Per-op latency gates (smoke only: the full run's 1M tier reports
     // the same numbers without gating).
     if smoke {
@@ -765,13 +440,17 @@ fn main() {
                 "refresh_op" => SMOKE_REFRESH_P99_NS,
                 _ => SMOKE_PROBE_P99_NS,
             };
-            let p99 = r.p99_ns.unwrap_or(0);
-            if p99 > bar {
-                eprintln!(
-                    "REGRESSION: {} p99 {}ns exceeds the {}ns ceiling",
-                    r.workload, p99, bar
-                );
-                std::process::exit(1);
+            for (what, value, bar) in [
+                ("p50", r.p50_ns.unwrap_or(0), SMOKE_P50_NS),
+                ("p99", r.p99_ns.unwrap_or(0), bar),
+            ] {
+                if value > bar {
+                    eprintln!(
+                        "REGRESSION: {} {what} {value}ns exceeds the {bar}ns ceiling",
+                        r.workload
+                    );
+                    std::process::exit(1);
+                }
             }
         }
     }

@@ -177,8 +177,10 @@ impl AdaptiveIpr {
     /// capacity, and bands are separated by an even share of the gap
     /// budget.  Returns `None` if the stack runs off the bottom of the
     /// space — the adaptive scheme's expression of "full".
-    // lint:allow(panic-reach): counts is sized to the band count k and indexed by band_of() results below k
-    // lint:allow(hot-alloc): the count scratch is k elements (seven bands), sized by configuration, not by session load
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "counts is sized to the band count k and indexed by band_of() results below k"
+    )]
     pub fn band_range(&self, space: &AddrSpace, ttl: u8, view: &View<'_>) -> Option<(u32, u32)> {
         let n = space.size() as i64;
         let k = self.bands.len();

@@ -6,6 +6,10 @@
 //! dynamically allocated sessions — 224.2.128.0–224.2.255.255, 32 768
 //! addresses — while the full IPv4 multicast space is 2²⁸ ≈ 270 million.
 
+// A truncated address, id, length or interval corrupts state instead of
+// failing; narrow with `try_from` (DESIGN 4a).
+#![warn(clippy::cast_possible_truncation)]
+
 use std::fmt;
 use std::net::Ipv4Addr;
 

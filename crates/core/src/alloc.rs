@@ -101,7 +101,10 @@ pub struct AllocOutcome {
 /// Strategy: rejection-sample a few times (cheap when sparsely used),
 /// then fall back to exact rank selection over the free set so full
 /// ranges still terminate and stay uniform.
-// lint:allow(panic-reach): slice bounds come from partition_point over the same slice; windows(2) chunks have exactly two elements
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slice bounds come from partition_point over the same slice; windows(2) chunks have exactly two elements"
+)]
 pub(crate) fn pick_free_in_range(
     lo: u32,
     hi: u32,

@@ -36,8 +36,9 @@ use crate::addr::Addr;
 pub struct SessionId {
     /// Originating site.
     pub site: u32,
-    /// Per-site sequence number.
-    pub seq: u32,
+    /// Per-site sequence number: the full 64-bit SDP `o=` session id,
+    /// so two sessions of one site never share a key.
+    pub seq: u64,
 }
 
 /// Configuration of the clash responder.
@@ -137,8 +138,6 @@ pub enum Incumbent {
 /// states have equal representations (the model checker hashes them).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClashState {
-    // lint:allow(unbounded-growth): drained by clash_step via a worked copy (next.pending.retain), which the per-struct scan cannot attribute
-    // lint:bounded: one entry per armed defence, removed when it fires or is suppressed — length tracks concurrent clashes, not cache size
     pending: Vec<PendingDefense>,
 }
 
@@ -228,7 +227,6 @@ pub enum ClashEvent {
 /// the double-arm: under message duplication a site with two timers for
 /// one session fires two third-party defences — two authoritative
 /// responses to one clash.)
-// lint:allow(hot-alloc): pure-functional protocol step: returns the successor state and its actions by value
 pub fn clash_step(
     policy: &ClashPolicy,
     state: &ClashState,
@@ -517,7 +515,7 @@ impl ClashResponder {
                     "third_party_fired",
                     [
                         ("site", u64::from(session.site)),
-                        ("seq", u64::from(session.seq)),
+                        ("seq", session.seq),
                         NO_ARG,
                     ],
                 );
@@ -546,7 +544,7 @@ impl ClashResponder {
 mod tests {
     use super::*;
 
-    fn sid(site: u32, seq: u32) -> SessionId {
+    fn sid(site: u32, seq: u64) -> SessionId {
         SessionId { site, seq }
     }
 

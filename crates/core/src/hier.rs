@@ -89,7 +89,6 @@ pub const GLOBAL_DOMAIN: u32 = u32::MAX;
 pub struct PrefixRegistry {
     space: u32,
     /// (domain, prefix), sorted by prefix.lo.
-    // lint:bounded: disjoint power-of-two blocks of a fixed address space — at most space/min_claim entries, prefix-level churn is the paper's slow path
     claims: Vec<(u32, Prefix)>,
 }
 
@@ -114,7 +113,6 @@ impl PrefixRegistry {
     }
 
     /// The prefixes currently held by `domain`.
-    // lint:allow(hot-alloc): returns the domain's claimed-prefix snapshot; a domain holds a handful of prefixes
     pub fn prefixes_of(&self, domain: u32) -> Vec<Prefix> {
         self.claims
             .iter()
@@ -162,9 +160,12 @@ impl PrefixRegistry {
     }
 
     /// Sanity: no two claims overlap.
-    // lint:allow(panic-reach): windows(2) chunks have exactly two elements
     pub fn is_consistent(&self) -> bool {
-        self.claims.windows(2).all(|w| w[0].1.hi <= w[1].1.lo)
+        let claims = self.claims.iter().map(|(_, block)| block);
+        claims
+            .clone()
+            .zip(claims.skip(1))
+            .all(|(a, b)| a.hi <= b.lo)
     }
 }
 
@@ -213,7 +214,6 @@ impl HierarchicalAllocator {
     }
 
     /// Allocate inside the given domain's prefixes, growing on demand.
-    // lint:allow(hot-alloc): the shuffle needs an owned order over the domain's few prefixes
     fn allocate_in_domain(&self, level: u32, view: &View<'_>, rng: &mut SimRng) -> Option<Addr> {
         let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         let used = view.occupied();

@@ -13,6 +13,10 @@
 //! is set to a value between zero and 255"), so the map starts at t = 0;
 //! that also reproduces the paper's count of 55 exactly.
 
+// A truncated address, id, length or interval corrupts state instead of
+// failing; narrow with `try_from` (DESIGN 4a).
+#![warn(clippy::cast_possible_truncation)]
+
 /// One partition: an inclusive range of TTL values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TtlPartition {
@@ -48,7 +52,10 @@ pub struct PartitionMap {
 
 impl PartitionMap {
     /// Build the map for margin-of-safety `margin` (the paper uses 2).
-    // lint:allow(panic-reach): by_ttl is a [_; 256] table indexed by a TTL clamped to 0..=255; windows(2) chunks have exactly two elements
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "by_ttl is a [_; 256] table indexed by a TTL clamped to 0..=255; windows(2) chunks have exactly two elements"
+    )]
     pub fn new(margin: u32) -> PartitionMap {
         assert!(margin >= 1, "margin must be at least 1");
         let mut partitions = Vec::new();
@@ -109,13 +116,19 @@ impl PartitionMap {
     }
 
     /// Index of the partition covering `ttl`.
-    // lint:allow(panic-reach): by_ttl is a [_; 256] table and the index is a u8
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "by_ttl is a [_; 256] table and the index is a u8"
+    )]
     pub fn partition_of(&self, ttl: u8) -> usize {
         self.by_ttl[ttl as usize] as usize
     }
 
     /// The partition covering `ttl`.
-    // lint:allow(panic-reach): by_ttl entries are valid partition indices by construction in new()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "by_ttl entries are valid partition indices by construction in new()"
+    )]
     pub fn partition(&self, ttl: u8) -> TtlPartition {
         self.partitions[self.partition_of(ttl)]
     }

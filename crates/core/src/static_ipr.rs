@@ -42,11 +42,13 @@ pub struct StaticIpr {
 
 impl StaticIpr {
     /// Build from ascending TTL separators; 255 is appended if missing.
-    // lint:allow(panic-reach): windows(2) chunks have exactly two elements
     pub fn new(mut separators: Vec<u8>) -> StaticIpr {
         assert!(!separators.is_empty(), "need at least one band");
         assert!(
-            separators.windows(2).all(|w| w[0] < w[1]),
+            separators
+                .iter()
+                .zip(separators.iter().skip(1))
+                .all(|(a, b)| a < b),
             "separators must be strictly ascending"
         );
         if separators.last() != Some(&255) {

@@ -76,7 +76,6 @@ impl<'a> View<'a> {
     }
 
     /// Sorted, deduplicated list of occupied addresses (any TTL).
-    // lint:allow(hot-alloc): materializes the sorted occupancy set the allocator binary-searches repeatedly
     pub fn occupied(&self) -> Vec<Addr> {
         let mut v: Vec<Addr> = self.sessions.iter().map(|s| s.addr).collect();
         v.sort_unstable();

@@ -22,6 +22,15 @@
 
 pub mod alloc_figs;
 pub mod analytic_figs;
+// Panic scope (DESIGN 4a): this module runs inside the check.sh gate.
+#[warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub mod chaos;
 pub mod eq1_sim;
 pub mod ext_hier;

@@ -40,7 +40,10 @@ pub enum Replacement {
 /// Estimate the probability that at least one clash occurs while
 /// replacing all `n` sessions once (one "mean session lifetime"), for
 /// the given algorithm, space size and TTL distribution.
-#[allow(clippy::too_many_arguments)] // experiment knobs mirror the paper's
+#[allow(
+    clippy::too_many_arguments,
+    reason = "experiment knobs mirror the paper's"
+)]
 pub fn steady_state_clash_probability(
     topo: &Topology,
     alg: &dyn Allocator,
@@ -128,7 +131,10 @@ fn seed_clash_free(
 /// Find the largest `n` for which the steady-state clash probability
 /// stays at or below 0.5, by doubling then bisecting, with a final
 /// median filter over a local scan (the paper's noise-removal step).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "experiment knobs mirror the paper's"
+)]
 pub fn allocations_at_half(
     topo: &Topology,
     alg: &dyn Allocator,

@@ -12,8 +12,8 @@
 //!   request–response run.  Regenerated in place when missing, so
 //!   `experiments report` works standalone; the observed response
 //!   counts are set against the paper's Equation 2–4 predictions.
-//! * `BENCH_scale.json` — the cache benchmark's legacy-vs-indexed
-//!   timings (`directory_scale`, full mode).
+//! * `BENCH_scale.json` — the cache benchmark's per-workload timings
+//!   (`directory_scale`, full mode).
 //!
 //! The parsing layer is a deliberately small hand-rolled scanner over
 //! the known emitter formats (flat `"key": value` pairs, `[u64, ...]`
@@ -311,7 +311,7 @@ fn bench_section(out: &mut String, dir: &Path) {
         );
         return;
     };
-    out.push_str("| size | workload | legacy (ms) | indexed (ms) | speedup |\n");
+    out.push_str("| size | workload | total (ms) | p50 (ns) | p99 (ns) |\n");
     out.push_str("|---|---|---|---|---|\n");
     // The outer object contains one span per result row; skip any
     // object without a workload field (the wrapper itself).
@@ -323,14 +323,14 @@ fn bench_section(out: &mut String, dir: &Path) {
             let rest = &row[at + "\"workload\": \"".len()..];
             let workload = rest.split('"').next().unwrap_or("?");
             let size = field_u64(row, "size").unwrap_or(0);
-            let legacy = field_u64(row, "legacy_ns").unwrap_or(0);
-            let indexed = field_u64(row, "indexed_ns").unwrap_or(0);
-            let speedup = legacy as f64 / indexed.max(1) as f64;
+            let total = field_u64(row, "total_ns").unwrap_or(0);
+            let per_op = |name| field_u64(row, name).map_or("-".to_string(), |v| v.to_string());
             let _ = writeln!(
                 out,
-                "| {size} | {workload} | {:.3} | {:.3} | {speedup:.1}x |",
-                legacy as f64 / 1e6,
-                indexed as f64 / 1e6,
+                "| {size} | {workload} | {:.3} | {} | {} |",
+                total as f64 / 1e6,
+                per_op("p50_ns"),
+                per_op("p99_ns"),
             );
         }
     }

@@ -85,7 +85,10 @@ pub fn buckets(window: f64, rtt: f64) -> u64 {
 /// Naive O(n·d) evaluation of Equation 2/4, for cross-checking the
 /// closed forms on small inputs.  `bucket_mass[b]` is the (unnormalised)
 /// probability mass of bucket `b`.
-// lint:allow(panic-reach): suffix has d+1 elements and b stays below d
+#[expect(
+    clippy::indexing_slicing,
+    reason = "suffix has d+1 elements and b stays below d"
+)]
 pub fn expected_responses_naive(n: u64, bucket_mass: &[f64]) -> f64 {
     let s: f64 = bucket_mass.iter().sum();
     let nf = n as f64;
@@ -198,7 +201,7 @@ mod tests {
             (e - EXPONENTIAL_FLOOR).abs() < 0.02,
             "e = {e}, floor = {EXPONENTIAL_FLOOR}"
         );
-        #[allow(clippy::approx_constant)] // the paper's quoted digits
+        #[allow(clippy::approx_constant, reason = "the paper's quoted digits")]
         const PAPER_LIMIT: f64 = 1.442695;
         assert!((EXPONENTIAL_FLOOR - PAPER_LIMIT).abs() < 1e-5);
     }

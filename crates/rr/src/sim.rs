@@ -276,7 +276,10 @@ impl<'a> RrSim<'a> {
         (outcome, trace)
     }
 
-    // lint:allow(panic-reach): i indexes parallel n-element arrays built in this fn
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i indexes parallel n-element arrays built in this fn"
+    )]
     fn run_once_impl(
         &mut self,
         params: &RrParams,
@@ -300,7 +303,7 @@ impl<'a> RrSim<'a> {
         let mut candidates: Vec<Candidate> = Vec::with_capacity(n - 1);
         let member_count = (n - 1) as u64;
         let mut rank = 0u64;
-        #[allow(clippy::needless_range_loop)] // i indexes two parallel arrays
+        #[allow(clippy::needless_range_loop, reason = "i indexes two parallel arrays")]
         for i in 0..n {
             if i == requester.index() {
                 continue;
@@ -443,7 +446,10 @@ impl<'a> RrSim<'a> {
     /// One-to-all delivery delays from `src` under the params' routing
     /// mode, with optional per-hop jitter resampled per packet.
     /// Returns `(delay per node, hops per node)`; `None` = unreachable.
-    // lint:allow(panic-reach): every array is sized to node_count, i ranges below n, and src is a node of the same topology
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every array is sized to node_count, i ranges below n, and src is a node of the same topology"
+    )]
     fn delays_from(
         &mut self,
         params: &RrParams,

@@ -562,7 +562,6 @@ impl Runtime {
         self.workers.len()
     }
 
-    // lint:allow(panic-reach): orchestration API: agent indices are dense and caller-issued
     fn worker(&self, agent: usize) -> &Worker {
         &self.workers[agent]
     }

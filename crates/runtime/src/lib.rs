@@ -36,6 +36,15 @@
 pub mod bus;
 pub mod clock;
 pub mod driver;
+// Panic scope (DESIGN 4a): this module runs inside every reader thread.
+#[warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub mod snapshot;
 pub mod soak;
 

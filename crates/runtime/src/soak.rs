@@ -148,7 +148,6 @@ fn media() -> Vec<Media> {
 const STALL_AFTER: Duration = Duration::from_secs(1);
 
 /// Run the scenario.  Spends `cfg.duration` of wall-clock time.
-// lint:allow(panic-reach): soak harness: joins and dense indices over threads it spawned itself
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let clock: Arc<WallClock> = Arc::new(WallClock::new());
     let crash_node = cfg.agents - 1;

@@ -93,7 +93,7 @@ use sdalloc_sim::{SimDuration, SimTime};
 
 use crate::sdp::{DescRef, Media, Origin, SessionDescription};
 use crate::slab::{Interner, SessionHandle, SessionId, Slab, Sym};
-use crate::wire::fnv1a_64;
+use crate::wire::{fnv1a_64, fnv1a_64_fold};
 
 /// Number of reconciliation digest buckets.  Sixteen keeps the wire
 /// message one small line while still narrowing a single-entry diff to
@@ -114,6 +114,68 @@ pub const TTL_BANDS: usize = 4;
 /// Change-journal entries kept however small the table is, so a
 /// near-empty cache can still replay a burst of admits.
 const JOURNAL_FLOOR: usize = 1024;
+
+/// Dead expiry slots tolerated on top of one per live entry before the
+/// heaps are rebuilt, so a small cache does not rebuild on every
+/// removal.
+const EXPIRY_SLACK: usize = 64;
+
+/// A TTL partition band: an index below [`TTL_BANDS`] by construction
+/// ([`AnnouncementCache::ttl_band`] is the only source), so whatever
+/// TTL arrives off the wire can only ever select one of the four
+/// shards of a band-sharded table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TtlBand(u8);
+
+impl TtlBand {
+    /// Every band, in index order.
+    pub const ALL: [TtlBand; TTL_BANDS] = [TtlBand(0), TtlBand(1), TtlBand(2), TtlBand(3)];
+
+    /// The band's index, in `0..TTL_BANDS`.
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
+/// A reconciliation digest bucket: an index below [`DIGEST_BUCKETS`]
+/// by construction (hashed-and-masked from a key, or range-checked by
+/// [`Self::new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DigestBucket(u8);
+
+impl DigestBucket {
+    /// The bucket with this index, if there is one — the check a
+    /// bucket number read off the wire goes through.
+    pub fn new(index: usize) -> Option<DigestBucket> {
+        u8::try_from(index)
+            .ok()
+            .filter(|_| index < DIGEST_BUCKETS)
+            .map(DigestBucket)
+    }
+
+    /// The bucket's index, in `0..DIGEST_BUCKETS`.
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+
+    /// This bucket's accumulator in a digest array.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "self.0 < DIGEST_BUCKETS, the array length: bucket_of masks to it and new() range-checks"
+    )]
+    pub fn slot(self, digests: &mut [u64; DIGEST_BUCKETS]) -> &mut u64 {
+        &mut digests[self.index()]
+    }
+}
+
+/// Bucket indices where two digests differ, ascending.
+pub fn differing_buckets(ours: &[u64; DIGEST_BUCKETS], theirs: &[u64; DIGEST_BUCKETS]) -> Vec<u16> {
+    (0u16..)
+        .zip(ours.iter().zip(theirs))
+        .filter(|(_, (a, b))| a != b)
+        .map(|(i, _)| i)
+        .collect()
+}
 
 /// Cache key: who announced, which of their sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -214,7 +276,6 @@ impl<'a> EntryRef<'a> {
     /// Materialize an owned session description — the explicit copy
     /// point for callers that need one (re-announcement, eviction
     /// reporting); probes read the borrowed accessors instead.
-    // lint:allow(hot-alloc): the explicit ownership boundary; hot probes use the borrowed accessors
     pub fn desc(&self) -> SessionDescription {
         SessionDescription {
             origin: Origin {
@@ -310,6 +371,15 @@ pub struct AnnouncementCache {
     change_seq: u64,
 }
 
+// Read-path purity: every query takes `&self`, and `Sync` rules out
+// `Cell`/`RefCell` fields, so a query cannot mutate the cache behind a
+// shared borrow.  (Atomics and locks are `Sync`; adding one here is a
+// review matter.)
+const _: fn() = || {
+    fn sync<T: Sync>() {}
+    sync::<AnnouncementCache>();
+};
+
 impl AnnouncementCache {
     /// Create a cache with the given expiry timeout.
     ///
@@ -349,7 +419,7 @@ impl AnnouncementCache {
 
     /// Journal one mutation of `key`, dropping what no longer fits.
     fn note_change(&mut self, key: CacheKey) {
-        self.journal.push_back(key); // lint:allow(wire-taint): bounded ring — trimmed to max(JOURNAL_FLOOR, len()) two lines down, so wire traffic cannot grow it past the table it describes
+        self.journal.push_back(key);
         self.change_seq += 1;
         let bound = self.ids.len().max(JOURNAL_FLOOR);
         while self.journal.len() > bound {
@@ -378,38 +448,48 @@ impl AnnouncementCache {
     /// (≤ 63), continent (≤ 127), world.  Shard selector for the
     /// expiry heaps, the digest accumulators and the directory's
     /// sharded timer queue.
-    // lint:sanitizer(wire-taint): exhaustive u8 match clamps any wire TTL into 0..TTL_BANDS — the result can neither index out of bounds nor carry a wire-controlled deadline
-    pub fn ttl_band(ttl: u8) -> usize {
-        match ttl {
+    pub fn ttl_band(ttl: u8) -> TtlBand {
+        TtlBand(match ttl {
             0..=15 => 0,
             16..=63 => 1,
             64..=127 => 2,
             _ => 3,
-        }
+        })
+    }
+
+    /// The shard for `band`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a TtlBand is below TTL_BANDS, the array length, by construction"
+    )]
+    fn band_mut(&mut self, band: TtlBand) -> &mut Band {
+        &mut self.bands[band.index()]
+    }
+
+    /// The digest accumulator of `bucket` in `band`'s shard.
+    fn digest_slot(&mut self, band: TtlBand, bucket: DigestBucket) -> &mut u64 {
+        bucket.slot(&mut self.band_mut(band).digests)
     }
 
     /// The digest bucket `key` hashes into (key only, so version and
     /// group changes stay within one bucket).
-    // lint:allow(panic-reach): fixed-size copies into a 12-byte array; both slice bounds are compile-time constants
-    fn bucket_of(key: &CacheKey) -> usize {
-        let mut bytes = [0u8; 12];
-        bytes[..4].copy_from_slice(&key.origin.octets());
-        bytes[4..].copy_from_slice(&key.session_id.to_be_bytes());
+    fn bucket_of(key: &CacheKey) -> DigestBucket {
+        let h = fnv1a_64_fold(
+            fnv1a_64(&key.origin.octets()),
+            &key.session_id.to_be_bytes(),
+        );
         // DIGEST_BUCKETS is a power of two; the mask keeps this branch-free.
-        (fnv1a_64(&bytes) as usize) & (DIGEST_BUCKETS - 1)
+        DigestBucket((h & (DIGEST_BUCKETS as u64 - 1)) as u8)
     }
 
     /// The seeded per-entry hash over (group, key, version) that the
     /// bucket accumulators XOR together.
-    // lint:allow(panic-reach): fixed-size copies into a 32-byte array; both slice bounds are compile-time constants
     fn hash_parts(key: &CacheKey, group: Ipv4Addr, version: u64) -> u64 {
-        let mut bytes = [0u8; 32];
-        bytes[..8].copy_from_slice(&DIGEST_SEED.to_be_bytes());
-        bytes[8..12].copy_from_slice(&group.octets());
-        bytes[12..16].copy_from_slice(&key.origin.octets());
-        bytes[16..24].copy_from_slice(&key.session_id.to_be_bytes());
-        bytes[24..].copy_from_slice(&version.to_be_bytes());
-        fnv1a_64(&bytes)
+        let mut h = fnv1a_64(&DIGEST_SEED.to_be_bytes());
+        h = fnv1a_64_fold(h, &group.octets());
+        h = fnv1a_64_fold(h, &key.origin.octets());
+        h = fnv1a_64_fold(h, &key.session_id.to_be_bytes());
+        fnv1a_64_fold(h, &version.to_be_bytes())
     }
 
     /// The configured expiry timeout.
@@ -417,7 +497,6 @@ impl AnnouncementCache {
         self.timeout
     }
 
-    // lint:allow(wire-taint): indexing admitted wire sessions is the cache's contract; decode/parse validated the packet and index_remove mirrors every insert
     fn index_insert(&mut self, key: CacheKey, id: SessionId, group: Ipv4Addr, ttl: u8) {
         self.by_group.entry(group).or_default().insert(key, id);
         *self.visible.entry((group, ttl)).or_insert(0) += 1;
@@ -463,7 +542,6 @@ impl AnnouncementCache {
 
     /// Feed one announcement heard at `now` — owned-description compat
     /// wrapper over [`Self::observe_announce_ref`].
-    // lint:allow(wire-taint): admitting wire announcements is the cache's contract (RFC 2974); SapPacket::decode/SessionDescription::parse validated the payload and purge_expired bounds residency
     pub fn observe_announce(&mut self, now: SimTime, desc: SessionDescription) -> CacheUpdate {
         self.observe_announce_ref(now, &desc.as_ref())
     }
@@ -472,7 +550,6 @@ impl AnnouncementCache {
     /// description is materialized into interned arena storage only on
     /// admit or modify; a refresh (the overwhelmingly common case)
     /// copies nothing.
-    // lint:allow(wire-taint): admitting wire announcements is the cache's contract (RFC 2974); SapFrame::decode/DescRef::parse validated the payload and purge_expired bounds residency
     pub fn observe_announce_ref(&mut self, now: SimTime, d: &DescRef<'_>) -> CacheUpdate {
         let key = CacheKey {
             origin: d.origin.address,
@@ -500,7 +577,7 @@ impl AnnouncementCache {
                             proto: self.strings.intern(m.proto),
                             format: m.format,
                         })
-                        .collect(), // lint:allow(hot-alloc): cache-admit is the ownership boundary — the one place the borrowed description materializes
+                        .collect(),
                     first_heard: now,
                     last_heard: now,
                     announcements: 1,
@@ -508,10 +585,10 @@ impl AnnouncementCache {
                 let id = self.arena.insert(rec);
                 self.ids.insert(key, id);
                 let band = Self::ttl_band(d.ttl);
-                self.bands[band].expiry.push(Reverse((now, key))); // lint:allow(panic-reach): ttl_band maps into 0..TTL_BANDS
+                self.band_mut(band).expiry.push(Reverse((now, key)));
                 self.index_insert(key, id, d.group, d.ttl);
                 let bucket = Self::bucket_of(&key);
-                self.bands[band].digests[bucket] ^= hash; // lint:allow(panic-reach): ttl_band and bucket_of map into their array bounds
+                *self.digest_slot(band, bucket) ^= hash;
                 self.origin_keys
                     .entry(key.origin)
                     .or_default()
@@ -552,7 +629,7 @@ impl AnnouncementCache {
                             proto: self.strings.intern(m.proto),
                             format: m.format,
                         })
-                        .collect(); // lint:allow(hot-alloc): modifications are rare — refreshes (the hot case) never reach this arm
+                        .collect();
                     rec.version = d.origin.version;
                     rec.group = d.group;
                     rec.ttl = d.ttl;
@@ -588,14 +665,13 @@ impl AnnouncementCache {
                     let old_hash = Self::hash_parts(&key, old_group, old_version);
                     let new_hash = Self::hash_parts(&key, d.group, d.origin.version);
                     let bucket = Self::bucket_of(&key);
-                    self.bands[old_band].digests[bucket] ^= old_hash; // lint:allow(panic-reach): ttl_band and bucket_of map into their array bounds
-                    self.bands[new_band].digests[bucket] ^= new_hash; // lint:allow(panic-reach): ttl_band and bucket_of map into their array bounds
+                    *self.digest_slot(old_band, bucket) ^= old_hash;
+                    *self.digest_slot(new_band, bucket) ^= new_hash;
                 } else if (old_group, old_version) != (d.group, d.origin.version) {
                     let old_hash = Self::hash_parts(&key, old_group, old_version);
                     let new_hash = Self::hash_parts(&key, d.group, d.origin.version);
                     let bucket = Self::bucket_of(&key);
-                    let delta = old_hash ^ new_hash;
-                    self.bands[old_band].digests[bucket] ^= delta; // lint:allow(panic-reach): ttl_band and bucket_of map into their array bounds
+                    *self.digest_slot(old_band, bucket) ^= old_hash ^ new_hash;
                 }
                 if became_verified {
                     self.unverified.remove(&(first_heard, key));
@@ -619,7 +695,7 @@ impl AnnouncementCache {
         self.note_change(key);
         let band = Self::ttl_band(rec.ttl);
         let bucket = Self::bucket_of(&key);
-        self.bands[band].digests[bucket] ^= Self::hash_parts(&key, rec.group, rec.version); // lint:allow(panic-reach): ttl_band and bucket_of map into their array bounds
+        *self.digest_slot(band, bucket) ^= Self::hash_parts(&key, rec.group, rec.version);
         if let Some(ids) = self.origin_keys.get_mut(&key.origin) {
             ids.remove(&key.session_id);
             if ids.is_empty() {
@@ -631,18 +707,42 @@ impl AnnouncementCache {
         if rec.announcements < 2 {
             self.unverified.remove(&(rec.first_heard, key));
         }
+        self.compact_expiry();
+    }
+
+    /// A removal leaves the entry's expiry slot behind, to be dropped
+    /// when it surfaces — which, under older live entries, can be a
+    /// whole purge horizon away, so a flood of admit-then-evict would
+    /// grow the heaps with the traffic rather than the table.  Once
+    /// dead slots outnumber live entries, rebuild the heaps from the
+    /// records: O(live), amortised over at least as many removals.
+    fn compact_expiry(&mut self) {
+        if self.expiry_slots() <= 2 * self.ids.len() + EXPIRY_SLACK {
+            return;
+        }
+        for band in &mut self.bands {
+            band.expiry.clear();
+        }
+        for (&key, &id) in &self.ids {
+            let Some(rec) = self.arena.get(id) else {
+                continue;
+            };
+            if let Some(band) = self.bands.get_mut(Self::ttl_band(rec.ttl).index()) {
+                band.expiry.push(Reverse((rec.last_heard, key)));
+            }
+        }
     }
 
     /// Release a removed record's interned strings back to the table.
     fn release_record(&mut self, rec: SessionRecord) {
-        self.strings.release(rec.username); // lint:allow(wire-taint): drops interner refcounts; no allocator range is touched — the name collides with PrefixRegistry::release
-        self.strings.release(rec.name); // lint:allow(wire-taint): interner refcount drop, see above
+        self.strings.release(rec.username);
+        self.strings.release(rec.name);
         if let Some(s) = rec.info {
-            self.strings.release(s); // lint:allow(wire-taint): interner refcount drop, see above
+            self.strings.release(s);
         }
         for m in rec.media {
-            self.strings.release(m.kind); // lint:allow(wire-taint): interner refcount drop, see above
-            self.strings.release(m.proto); // lint:allow(wire-taint): interner refcount drop, see above
+            self.strings.release(m.kind);
+            self.strings.release(m.proto);
         }
     }
 
@@ -671,10 +771,10 @@ impl AnnouncementCache {
         self.observe_delete(key.origin, key.session_id)
     }
 
-    /// Top (oldest) expiry slot of `band`, if any.  Checked access, so
-    /// the sweep loops below carry no indexing in their loop headers.
-    fn band_top(&self, band: usize) -> Option<(SimTime, CacheKey)> {
-        self.bands.get(band)?.expiry.peek().map(|&Reverse(top)| top)
+    /// Top (oldest) expiry slot of `band`, if any.
+    fn band_top(&self, band: TtlBand) -> Option<(SimTime, CacheKey)> {
+        let shard = self.bands.get(band.index())?;
+        shard.expiry.peek().map(|&Reverse(top)| top)
     }
 
     /// Pop every entry whose `last_heard` is more than `horizon` before
@@ -690,10 +790,7 @@ impl AnnouncementCache {
         self.scratch.clear();
         loop {
             let mut crossed = 0usize;
-            for band in 0..TTL_BANDS {
-                // Band indexing below is panic-free: `band` iterates
-                // 0..TTL_BANDS (the array length) and `home` comes from
-                // `ttl_band`, which maps into the same range.
+            for band in TtlBand::ALL {
                 while let Some((pushed, key)) = self.band_top(band) {
                     // The oldest possibly-dead slot is still within the
                     // horizon: every live entry in this band is newer,
@@ -703,7 +800,7 @@ impl AnnouncementCache {
                     if now.saturating_since(pushed) <= horizon {
                         break;
                     }
-                    self.bands[band].expiry.pop(); // lint:allow(panic-reach): band iterates 0..TTL_BANDS, the array length
+                    self.band_mut(band).expiry.pop();
                     let Some(&id) = self.ids.get(&key) else {
                         continue; // deleted since the push: discard the slot
                     };
@@ -716,7 +813,7 @@ impl AnnouncementCache {
                         // re-home the slot under its current refresh
                         // time and sweep again.
                         let at = rec.last_heard;
-                        self.bands[home].expiry.push(Reverse((at, key))); // lint:allow(wire-taint): re-files the popped slot of an existing entry; net heap size does not grow; lint:allow(panic-reach): home comes from ttl_band, in 0..TTL_BANDS
+                        self.band_mut(home).expiry.push(Reverse((at, key)));
                         crossed += 1;
                         continue;
                     }
@@ -724,7 +821,7 @@ impl AnnouncementCache {
                         // Refreshed since the push: re-file under the
                         // current refresh time and keep looking.
                         let at = rec.last_heard;
-                        self.bands[band].expiry.push(Reverse((at, key))); // lint:allow(wire-taint): re-files the popped slot of an existing entry; net heap size does not grow; lint:allow(panic-reach): band iterates 0..TTL_BANDS
+                        self.band_mut(band).expiry.push(Reverse((at, key)));
                         continue;
                     }
                     if now.saturating_since(rec.last_heard) > horizon {
@@ -734,12 +831,12 @@ impl AnnouncementCache {
                             self.forget_record(key, &rec);
                             self.release_record(rec);
                         }
-                        self.scratch.push(key); // lint:allow(wire-taint): purge output buffer — cleared at entry, holds only keys being removed, shrinks the cache
+                        self.scratch.push(key);
                     } else {
                         // Unreachable in practice (pushed == last_heard
                         // and the horizon check above already passed),
                         // kept for safety.
-                        self.bands[band].expiry.push(Reverse((pushed, key))); // lint:allow(panic-reach): band iterates 0..TTL_BANDS, the array length
+                        self.band_mut(band).expiry.push(Reverse((pushed, key)));
                         break;
                     }
                 }
@@ -783,13 +880,10 @@ impl AnnouncementCache {
     /// stale heap slots until its top is exact, then takes the global
     /// minimum by `(last_heard, key)` across bands.
     pub fn oldest_entry(&mut self) -> Option<(CacheKey, SimTime)> {
-        // Band indexing below is panic-free: `band` iterates
-        // 0..TTL_BANDS (the array length) and `home` comes from
-        // `ttl_band`, which maps into the same range.
-        for band in 0..TTL_BANDS {
+        for band in TtlBand::ALL {
             while let Some((pushed, key)) = self.band_top(band) {
                 let Some(rec) = self.ids.get(&key).and_then(|&id| self.arena.get(id)) else {
-                    self.bands[band].expiry.pop(); // lint:allow(panic-reach): band iterates 0..TTL_BANDS, the array length
+                    self.band_mut(band).expiry.pop();
                     continue;
                 };
                 let home = Self::ttl_band(rec.ttl);
@@ -798,14 +892,15 @@ impl AnnouncementCache {
                     // moved slot is exact, so it cannot invalidate a
                     // band top compacted earlier in this loop.
                     let at = rec.last_heard;
-                    self.bands[band].expiry.pop(); // lint:allow(panic-reach): band iterates 0..TTL_BANDS, the array length
-                    self.bands[home].expiry.push(Reverse((at, key))); // lint:allow(wire-taint): re-files the popped slot of an existing entry; net heap size does not grow; lint:allow(panic-reach): home comes from ttl_band, in 0..TTL_BANDS
+                    self.band_mut(band).expiry.pop();
+                    self.band_mut(home).expiry.push(Reverse((at, key)));
                     continue;
                 }
                 if rec.last_heard != pushed {
                     let at = rec.last_heard;
-                    self.bands[band].expiry.pop(); // lint:allow(panic-reach): band iterates 0..TTL_BANDS, the array length
-                    self.bands[band].expiry.push(Reverse((at, key))); // lint:allow(wire-taint): re-files the popped slot of an existing entry; net heap size does not grow; lint:allow(panic-reach): band iterates 0..TTL_BANDS
+                    let shard = self.band_mut(band);
+                    shard.expiry.pop();
+                    shard.expiry.push(Reverse((at, key)));
                     continue;
                 }
                 break; // top is exact
@@ -829,7 +924,6 @@ impl AnnouncementCache {
     /// eviction tier.  O(origins + quota); deterministic because the
     /// violating origin is picked by min-scan and the victim by a
     /// total (last_heard, key) order.
-    // lint:allow(hot-path-scan): last-resort eviction tier, reached only at the hard cache budget when the stale and unverified tiers are empty
     pub fn quota_violator(&self, quota: u32) -> Option<CacheKey> {
         let origin = self
             .origin_keys
@@ -879,31 +973,23 @@ impl AnnouncementCache {
 
     /// Bucket indices where our digest differs from `theirs`, sorted.
     pub fn diff_buckets(&self, theirs: &[u64; DIGEST_BUCKETS]) -> Vec<u16> {
-        let ours = self.digest();
-        (0..DIGEST_BUCKETS)
-            .filter(|&b| ours[b] != theirs[b]) // lint:allow(panic-reach): b ranges over 0..DIGEST_BUCKETS, the length of both arrays
-            .map(|b| b as u16)
-            .collect()
+        differing_buckets(&self.digest(), theirs)
     }
 
-    /// Keys currently hashed into `bucket`, sorted (empty when the
-    /// bucket index is out of range) — what a peer re-announces to
-    /// close a digest gap.
+    /// Keys currently hashed into `bucket`, sorted — what a peer
+    /// re-announces to close a digest gap.
     ///
     /// Computed by scanning rather than kept as an eager index: the
     /// callers are reconcile requests, rate-limited by the directory's
     /// `min_request_gap`, while an eager per-bucket index would tax
     /// every insert and expiry on the announcement hot path.
-    pub fn keys_in_bucket(&self, bucket: usize) -> Vec<CacheKey> {
-        if bucket >= DIGEST_BUCKETS {
-            return Vec::new(); // lint:allow(hot-alloc): empty Vec does not allocate
-        }
+    pub fn keys_in_bucket(&self, bucket: DigestBucket) -> Vec<CacheKey> {
         let mut keys: Vec<CacheKey> = self
             .ids
-            .keys() // lint:allow(hot-path-scan): reconcile-request path, rate-limited by min_request_gap; an eager per-bucket index would tax every insert and expiry instead
+            .keys()
             .filter(|k| Self::bucket_of(k) == bucket)
             .copied()
-            .collect(); // lint:allow(hot-alloc): reconcile-request path, rate-limited by min_request_gap; at most one bucket's worth of keys
+            .collect();
         keys.sort_unstable();
         keys
     }
@@ -913,7 +999,7 @@ impl AnnouncementCache {
     /// directory folds its *own* (uncached) sessions into the scope
     /// digest with this, so two in-sync peers — one originating a
     /// session, the other caching it — digest identically.
-    pub fn desc_digest(desc: &SessionDescription) -> (usize, u64) {
+    pub fn desc_digest(desc: &SessionDescription) -> (DigestBucket, u64) {
         let key = CacheKey {
             origin: desc.origin.address,
             session_id: desc.origin.session_id,
@@ -998,8 +1084,6 @@ impl AnnouncementCache {
     /// preserved (two clashing sessions on one group project twice),
     /// matching the per-entry projection the allocators were built
     /// against.
-    // lint:allow(hot-alloc): returns the projected per-session view the allocators consume
-    // lint:allow(hot-path-scan): projecting the cache onto the allocator view is O(result) by contract — the walk IS the output
     pub fn visible_sessions(&self, space: &AddrSpace) -> Vec<VisibleSession> {
         let mut v = Vec::new();
         for (&(group, ttl), &count) in &self.visible {
@@ -1015,7 +1099,6 @@ impl AnnouncementCache {
     }
 
     /// Iterate all entries (unordered) as borrowed views.
-    // lint:allow(hot-path-scan): returns a lazy iterator; the accessor itself performs no scan — the cost belongs to callers that drain it
     pub fn iter(&self) -> impl Iterator<Item = (CacheKey, EntryRef<'_>)> {
         self.ids.iter().filter_map(move |(&key, &id)| {
             self.arena.get(id).map(|rec| {
@@ -1030,11 +1113,8 @@ impl AnnouncementCache {
         })
     }
 
-    /// Total slots across the band expiry heaps (test instrumentation
-    /// for the lazy re-file invariant: refresh churn must not grow the
-    /// heaps).
-    #[cfg(test)]
-    fn expiry_slots(&self) -> usize {
+    /// Total slots across the band expiry heaps, dead ones included.
+    pub(crate) fn expiry_slots(&self) -> usize {
         self.bands.iter().map(|b| b.expiry.len()).sum()
     }
 }
@@ -1264,6 +1344,28 @@ mod tests {
     }
 
     #[test]
+    fn heap_stays_compact_under_admit_and_evict_churn() {
+        // A removed entry's slot is dropped lazily when it surfaces —
+        // but under older live entries it never does before the purge
+        // horizon.  A flood of admit-then-evict must not grow the heaps
+        // with the traffic.
+        let mut c = AnnouncementCache::new(SimDuration::from_secs(3600));
+        for k in 0..7u64 {
+            c.observe_announce(t(0), desc([10, 0, 0, 1], k, 1, [224, 2, 128, 1], 63));
+        }
+        for k in 100..5_100u64 {
+            let d = desc([10, 0, 0, 2], k, 1, [224, 2, 128, 2], 200);
+            c.observe_announce(t(1), d);
+            assert!(c.observe_delete(Ipv4Addr::new(10, 0, 0, 2), k));
+            assert!(c.expiry_slots() <= 2 * c.len() + EXPIRY_SLACK);
+        }
+        // The rebuilt heaps still expire what is due, and only that.
+        c.observe_announce(t(2000), desc([10, 0, 0, 1], 0, 1, [224, 2, 128, 1], 63));
+        assert_eq!(c.purge_expired(t(3602)).len(), 6);
+        assert_eq!((c.len(), c.expiry_slots()), (1, 1));
+    }
+
+    #[test]
     fn digest_is_order_independent() {
         // XOR accumulation: two caches holding the same entries digest
         // identically no matter the arrival order (or refresh history).
@@ -1323,10 +1425,10 @@ mod tests {
         c.purge_expired(t(300));
         assert_eq!(c.digest(), empty);
         assert_eq!(
-            c.keys_in_bucket(0).len()
-                + (1..DIGEST_BUCKETS)
-                    .map(|b| c.keys_in_bucket(b).len())
-                    .sum::<usize>(),
+            (0..DIGEST_BUCKETS)
+                .filter_map(DigestBucket::new)
+                .map(|b| c.keys_in_bucket(b).len())
+                .sum::<usize>(),
             0
         );
     }
@@ -1346,7 +1448,7 @@ mod tests {
             1,
             "one extra entry differs in exactly one bucket"
         );
-        let keys = a.keys_in_bucket(diff[0] as usize);
+        let keys = a.keys_in_bucket(DigestBucket::new(diff[0] as usize).unwrap());
         assert!(keys
             .iter()
             .any(|k| k.origin == only_a.origin.address && k.session_id == 2));

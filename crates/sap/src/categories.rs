@@ -82,7 +82,6 @@ impl CategoryAnnouncement {
 #[derive(Debug, Default)]
 pub struct CategoryRegistry {
     /// Known categories by name.
-    // lint:allow(unbounded-growth): keyed by category name: re-announcements overwrite in place, and the vocabulary is operator-curated
     known: BTreeMap<String, CategoryAnnouncement>,
     /// Categories this receiver wants.
     subscriptions: BTreeSet<String>,
@@ -95,7 +94,6 @@ impl CategoryRegistry {
     }
 
     /// Feed a category announcement heard on the base channel.
-    // lint:allow(hot-alloc): the registry stores the announcement under its own name key
     pub fn observe(&mut self, ann: CategoryAnnouncement) {
         self.known.insert(ann.name.clone(), ann);
     }

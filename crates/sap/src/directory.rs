@@ -17,6 +17,10 @@
 //! simulator ([`crate::testbed`]), the real UDP transport
 //! ([`crate::net`]) and the examples.
 
+// A truncated address, id, length or interval corrupts state instead of
+// failing; narrow with `try_from` (DESIGN 4a).
+#![warn(clippy::cast_possible_truncation)]
+
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -28,7 +32,8 @@ use sdalloc_sim::{ShardToken, ShardedTimerQueue, SimDuration, SimRng, SimTime};
 use sdalloc_telemetry::{CounterId, GaugeId, Severity, Telemetry, NO_ARG};
 
 use crate::cache::{
-    AnnouncementCache, CacheKey, CacheUpdate, DIGEST_BUCKETS, DIGEST_SEED, TTL_BANDS,
+    differing_buckets, AnnouncementCache, CacheKey, CacheUpdate, DigestBucket, DIGEST_BUCKETS,
+    DIGEST_SEED, TTL_BANDS,
 };
 use crate::schedule::BackoffSchedule;
 use crate::sdp::{DescRef, Media, Origin, SessionDescription};
@@ -363,6 +368,13 @@ struct TokenBucket {
     last_refill: SimTime,
 }
 
+/// The id of one of our own sessions, read back from the keys of
+/// [`SessionDirectory::own`] — minted by this host's
+/// [`SessionDirectory::create_session`], never parsed off the wire.
+/// The clash path moves and re-announces sessions by these only.
+#[derive(Debug, Clone, Copy)]
+struct HostMintedId(u64);
+
 /// The timer shard holding the single-instance control timers (cache
 /// expiry, clash defence, reconciliation).  Shards `0..TTL_BANDS` hold
 /// the announce timers of sessions in the matching TTL partition band.
@@ -373,7 +385,9 @@ pub struct SessionDirectory {
     cfg: DirectoryConfig,
     allocator: Box<dyn Allocator>,
     cache: AnnouncementCache,
-    // lint:bounded: this host's own sessions, created by the local application — wire traffic cannot grow it, and a site announces a handful of sessions
+    /// This host's own sessions, keyed by the id
+    /// [`Self::create_session`] minted.  Only the local application
+    /// grows this map; wire traffic cannot.
     own: BTreeMap<u64, OwnSession>,
     responder: ClashResponder,
     next_session_id: u64,
@@ -419,7 +433,6 @@ pub struct SessionDirectory {
     /// [`GovernorConfig::max_tracked_sources`].  `BTreeMap` so pruning
     /// order — and therefore every governor decision — is
     /// deterministic.
-    // lint:bounded: capped at GovernorConfig::max_tracked_sources with full-bucket pruning at the bound
     gov_buckets: BTreeMap<Ipv4Addr, TokenBucket>,
     /// Per-node telemetry: counters/gauges for the directory paths plus
     /// the flight recorder.  Clash-decision metrics live in the
@@ -634,7 +647,7 @@ impl SessionDirectory {
             },
         );
         let token = self.timers.schedule(
-            AnnouncementCache::ttl_band(ttl),
+            AnnouncementCache::ttl_band(ttl).index(),
             now,
             TimerKind::Announce(session_id),
         );
@@ -680,7 +693,7 @@ impl SessionDirectory {
             let deadline = oldest + self.cache_horizon() + SimDuration::from_nanos(1);
             let token = self
                 .timers
-                .schedule(CONTROL_SHARD, deadline, TimerKind::CacheExpiry); // lint:allow(wire-taint): the deadline is the locally-stamped receipt time of the oldest entry plus the configured horizon; no wire field reaches it
+                .schedule(CONTROL_SHARD, deadline, TimerKind::CacheExpiry);
             self.cache_timer = Some((token, deadline));
         }
     }
@@ -707,18 +720,10 @@ impl SessionDirectory {
         }
     }
 
-    /// The deadline of the next periodic digest broadcast.  Kept as a
-    /// named seam for the dataflow lint: reconciliation timing derives
-    /// only from the local clock and the configured interval — wire
-    /// digests trigger an exchange but never parameterise when our own
-    /// timers fire.
-    // lint:sanitizer(wire-taint): deadline = local now + configured interval; no wire-derived field reaches the timer queue
-    fn reconcile_deadline(now: SimTime, interval: SimDuration) -> SimTime {
-        now + interval
-    }
-
     /// Arm (or keep) the periodic digest timer.  No-op when
-    /// reconciliation is not configured.
+    /// reconciliation is not configured.  The deadline derives only
+    /// from the local clock and the configured interval: wire digests
+    /// trigger an exchange but never set when our own timers fire.
     fn arm_recon_timer(&mut self, now: SimTime) {
         if self.recon_timer.is_some() {
             return;
@@ -731,7 +736,7 @@ impl SessionDirectory {
         } else {
             rc.digest_interval
         };
-        let deadline = Self::reconcile_deadline(now, interval);
+        let deadline = now + interval;
         let token = self
             .timers
             .schedule(CONTROL_SHARD, deadline, TimerKind::Reconcile);
@@ -745,7 +750,7 @@ impl SessionDirectory {
         let mut d = self.cache.digest();
         for s in self.own.values() {
             let (bucket, hash) = AnnouncementCache::desc_digest(&s.desc);
-            d[bucket] ^= hash; // lint:allow(panic-reach): desc_digest masks the bucket into 0..DIGEST_BUCKETS
+            *bucket.slot(&mut d) ^= hash;
         }
         d
     }
@@ -757,7 +762,7 @@ impl SessionDirectory {
             seed: DIGEST_SEED,
             entries: (self.cache.len() + self.own.len()) as u64,
             rebuilding: self.rebuilding.is_some(),
-            buckets: digest.to_vec(), // lint:allow(hot-alloc): DIGEST_BUCKETS u64s into the wire message; digest sends are rate-limited
+            buckets: digest.to_vec(),
         });
         let payload = msg.encode_payload();
         self.last_digest_sent = Some(now);
@@ -829,11 +834,9 @@ impl SessionDirectory {
                     .last_request_sent
                     .is_none_or(|at| now.saturating_since(at) >= rc.min_request_gap);
                 if can_request {
-                    let buckets: Vec<u16> = (0..DIGEST_BUCKETS)
-                        .filter(|&b| ours[b] != theirs[b]) // lint:allow(panic-reach): b ranges over 0..DIGEST_BUCKETS, the length of both arrays
-                        .map(|b| b as u16)
-                        .collect(); // lint:allow(hot-alloc): at most DIGEST_BUCKETS indices; requests are rate-limited by min_request_gap
-                    let req = ReconMessage::Request(ReconcileRequest { buckets });
+                    let req = ReconMessage::Request(ReconcileRequest {
+                        buckets: differing_buckets(&ours, &theirs),
+                    });
                     let payload = req.encode_payload();
                     out.push(SapPacket::announce(
                         self.cfg.host,
@@ -863,14 +866,16 @@ impl SessionDirectory {
                 // originators' behalf, plus our own sessions.
                 let mut requested = [false; DIGEST_BUCKETS];
                 for &b in &r.buckets {
-                    if let Some(slot) = requested.get_mut(b as usize) {
+                    if let Some(slot) = requested.get_mut(usize::from(b)) {
                         *slot = true;
                     }
                 }
-                let mut keys: Vec<CacheKey> = Vec::new(); // lint:allow(hot-alloc): key snapshot decouples the re-announce loop from the cache borrow; bounded by max_reannounce_per_request
-                for (b, hit) in requested.iter().enumerate() {
-                    if *hit {
-                        keys.extend(self.cache.keys_in_bucket(b));
+                // The key snapshot decouples the re-announce loop from
+                // the cache borrow.
+                let mut keys: Vec<CacheKey> = Vec::new();
+                for bucket in (0..DIGEST_BUCKETS).filter_map(DigestBucket::new) {
+                    if requested.get(bucket.index()) == Some(&true) {
+                        keys.extend(self.cache.keys_in_bucket(bucket));
                     }
                 }
                 keys.sort_unstable();
@@ -883,7 +888,7 @@ impl SessionDirectory {
                 }
                 for s in self.own.values() {
                     let (bucket, _) = AnnouncementCache::desc_digest(&s.desc);
-                    if requested.get(bucket).copied().unwrap_or(false) {
+                    if requested.get(bucket.index()) == Some(&true) {
                         out.push(Self::announcement_packet(self.cfg.host, &s.desc));
                         self.telemetry.inc(self.metrics.recon_reannounced);
                     }
@@ -910,13 +915,13 @@ impl SessionDirectory {
                 return true; // fail open: quota and budget still bound state
             }
         }
-        // Tracking wire sources is the governor's job; growth is capped
-        // at max_tracked_sources by the prune/fail-open branch above.
+        // Growth is capped at max_tracked_sources by the prune/fail-open
+        // branch above.
         let fresh = TokenBucket {
             tokens: g.burst,
             last_refill: now,
         };
-        let bucket = self.gov_buckets.entry(source).or_insert(fresh); // lint:allow(wire-taint): bounded by max_tracked_sources; the prune above fails open rather than growing
+        let bucket = self.gov_buckets.entry(source).or_insert(fresh);
         let elapsed = now.saturating_since(bucket.last_refill).as_secs_f64();
         bucket.tokens = (bucket.tokens + elapsed * g.rate_per_sec).min(g.burst);
         bucket.last_refill = now;
@@ -1028,7 +1033,7 @@ impl SessionDirectory {
     /// let [`Self::poll`] drain them) and feed them here with the
     /// current time.
     pub fn on_timer(&mut self, now: SimTime, kind: TimerKind) -> Vec<SapPacket> {
-        let mut out = Vec::new(); // lint:allow(hot-alloc): out-buffer for the packets this call returns; empty when nothing is due
+        let mut out = Vec::new();
         match kind {
             TimerKind::Announce(session_id) => {
                 // Direct (non-popped) invocation: retire the queued
@@ -1063,7 +1068,7 @@ impl SessionDirectory {
                 s.next_send = next;
                 // A session's TTL is fixed at creation (moves change the
                 // group, never the scope), so its timer shard is stable.
-                let shard = AnnouncementCache::ttl_band(s.desc.ttl);
+                let shard = AnnouncementCache::ttl_band(s.desc.ttl).index();
                 self.telemetry.inc(self.metrics.announce_sent);
                 self.telemetry.record(
                     now.as_nanos(),
@@ -1079,7 +1084,7 @@ impl SessionDirectory {
                 let token = self
                     .timers
                     .schedule(shard, next, TimerKind::Announce(session_id));
-                self.announce_timers.insert(session_id, token); // lint:allow(wire-taint): keyed by our own session id — the map is bounded by the application's own sessions, not wire input
+                self.announce_timers.insert(session_id, token);
             }
             TimerKind::CacheExpiry => {
                 if let Some((token, _)) = self.cache_timer.take() {
@@ -1116,7 +1121,7 @@ impl SessionDirectory {
                         // Re-announce the cached session on the
                         // originator's behalf, if we still hold it.
                         let origin = Ipv4Addr::from(session.site);
-                        if let Some(entry) = self.cache.get(origin, session.seq as u64) {
+                        if let Some(entry) = self.cache.get(origin, session.seq) {
                             out.push(Self::announcement_packet(origin, &entry.desc()));
                             self.telemetry.inc(self.metrics.defence_sent);
                             self.telemetry.record(
@@ -1126,7 +1131,7 @@ impl SessionDirectory {
                                 "reannounce",
                                 [
                                     ("site", u64::from(session.site)),
-                                    ("seq", u64::from(session.seq)),
+                                    ("seq", session.seq),
                                     NO_ARG,
                                 ],
                             );
@@ -1190,7 +1195,7 @@ impl SessionDirectory {
     /// handler re-arms something... though no handler schedules a
     /// deadline `<= now`, so the second sweep is empty in practice.
     pub fn poll(&mut self, now: SimTime) -> Vec<SapPacket> {
-        let mut out = Vec::new(); // lint:allow(hot-alloc): out-buffer for the packets this call returns; empty when nothing is due
+        let mut out = Vec::new();
         let mut due = std::mem::take(&mut self.due_scratch);
         loop {
             due.clear();
@@ -1260,7 +1265,7 @@ impl SessionDirectory {
         let ids: Vec<(u64, u8)> = self.own.iter().map(|(id, s)| (*id, s.desc.ttl)).collect();
         for (id, ttl) in ids {
             let token = self.timers.schedule(
-                AnnouncementCache::ttl_band(ttl),
+                AnnouncementCache::ttl_band(ttl).index(),
                 now,
                 TimerKind::Announce(id),
             );
@@ -1298,9 +1303,9 @@ impl SessionDirectory {
         pkt: &SapPacket,
         rng: &mut SimRng,
     ) -> (Vec<SapPacket>, Vec<DirectoryEvent>) {
-        let mut out = Vec::new(); // lint:allow(hot-alloc): out-buffer for the packets this call returns; empty when nothing is due
-                                  // Leftover out-of-band events (e.g. degraded allocations) ride
-                                  // along with whatever this packet produces.
+        let mut out = Vec::new();
+        // Leftover out-of-band events (e.g. degraded allocations) ride
+        // along with whatever this packet produces.
         let mut events = self.take_events();
         self.telemetry.inc(self.metrics.rx_packets);
 
@@ -1333,7 +1338,7 @@ impl SessionDirectory {
 
         let their_sid = SessionId {
             site: u32::from(desc.origin.address),
-            seq: desc.origin.session_id as u32,
+            seq: desc.origin.session_id,
         };
 
         // Our own announcement echoed back (multicast loop or a third
@@ -1408,14 +1413,15 @@ impl SessionDirectory {
 
         // Clash detection against our own sessions.
         let own_clashes = self.clashing_own_ids(group);
-        for id in own_clashes {
+        for own_id in own_clashes {
+            let HostMintedId(id) = own_id;
             // Keys come from the iteration above; nothing removes from
             // `own` in this loop, but stay total anyway.
             let Some(s) = self.own.get(&id) else { continue };
             let first_announced = s.first_announced;
             let our_sid = SessionId {
                 site: u32::from(self.cfg.host),
-                seq: id as u32,
+                seq: id,
             };
             // Total order for the post-partition mutual-clash tiebreak:
             // lowest (origin address, session id) keeps the address.
@@ -1433,7 +1439,7 @@ impl SessionDirectory {
             );
             events.push(DirectoryEvent::Clash {
                 group,
-                action: action.clone(), // lint:allow(hot-alloc): the clash action is reported in the event stream as well as acted on
+                action: action.clone(),
             });
             match action {
                 ClashAction::DefendOwn { .. } => {
@@ -1458,7 +1464,7 @@ impl SessionDirectory {
                         "modify_own",
                         [("session", id), NO_ARG, NO_ARG],
                     );
-                    if let Some((from, to)) = self.move_session(id, rng) {
+                    if let Some((from, to)) = self.move_session(own_id, rng) {
                         self.telemetry.inc(self.metrics.moved);
                         self.telemetry.record(
                             now.as_nanos(),
@@ -1495,11 +1501,11 @@ impl SessionDirectory {
                     && e.first_heard() < now
             })
             .map(|(k, _)| (k.origin, k.session_id))
-            .collect(); // lint:allow(hot-alloc): incumbent-id snapshot decouples the defence loop from the cache borrow
+            .collect();
         for (origin, session_id) in incumbents {
             let sid = SessionId {
                 site: u32::from(origin),
-                seq: session_id as u32,
+                seq: session_id,
             };
             let action = self.responder.on_clash(
                 now,
@@ -1522,20 +1528,23 @@ impl SessionDirectory {
 
     /// The ids of our own sessions announcing on `group` — the
     /// candidates a clashing announcement forces us to defend or move.
+    /// The wire-supplied group only selects among ids this host minted.
     /// The snapshot decouples the defence loop from the session-map
     /// borrow.
-    // lint:sanitizer(wire-taint): returns locally-minted session ids; the wire group only selects among them — the id values are host-assigned, never wire data
-    // lint:allow(hot-alloc): own-clash id snapshot decouples the defence loop from the session-map borrow
-    fn clashing_own_ids(&self, group: Ipv4Addr) -> Vec<u64> {
+    fn clashing_own_ids(&self, group: Ipv4Addr) -> Vec<HostMintedId> {
         self.own
             .iter()
             .filter(|(_, s)| s.desc.group == group)
-            .map(|(&id, _)| id)
+            .map(|(&id, _)| HostMintedId(id))
             .collect()
     }
 
     /// Reallocate a clashing own session; returns (old group, new group).
-    fn move_session(&mut self, session_id: u64, rng: &mut SimRng) -> Option<(Ipv4Addr, Ipv4Addr)> {
+    fn move_session(
+        &mut self,
+        HostMintedId(session_id): HostMintedId,
+        rng: &mut SimRng,
+    ) -> Option<(Ipv4Addr, Ipv4Addr)> {
         let view_data = self.current_view();
         let view = View::new(&view_data);
         let ttl = self.own.get(&session_id)?.desc.ttl;
@@ -1838,6 +1847,37 @@ mod tests {
     }
 
     #[test]
+    fn forged_high_session_id_cannot_cancel_a_pending_defence() {
+        // The clash responder keys pending defences by (site, session
+        // id).  With the id narrowed to 32 bits, `id + 2^32` from the
+        // same origin aliased `id`: one forged announcement read as the
+        // originator defending itself and cancelled our defence.
+        let mut c = directory([10, 0, 0, 3]);
+        let mut rng = SimRng::new(7);
+        let group = [224, 2, 128, 5];
+        c.on_packet(
+            t(0),
+            &announce_pkt(&remote_desc([10, 0, 0, 1], 1, group)),
+            &mut rng,
+        );
+        c.on_packet(
+            t(100),
+            &announce_pkt(&remote_desc([10, 0, 0, 2], 2, group)),
+            &mut rng,
+        );
+        let forged = remote_desc([10, 0, 0, 1], 1 + (1 << 32), [224, 2, 128, 9]);
+        c.on_packet(t(101), &announce_pkt(&forged), &mut rng);
+        let defended = c.poll(t(10_000)).iter().any(|pkt| {
+            let desc = SessionDescription::parse(&pkt.payload).unwrap();
+            (desc.origin.address, desc.origin.session_id) == (Ipv4Addr::new(10, 0, 0, 1), 1)
+        });
+        assert!(
+            defended,
+            "the armed defence of (10.0.0.1, 1) must still fire"
+        );
+    }
+
+    #[test]
     fn withdraw_emits_delete() {
         let mut d = directory([10, 0, 0, 1]);
         let mut rng = SimRng::new(8);
@@ -2033,7 +2073,7 @@ mod tests {
                 },
                 name: format!("peer{k}"),
                 info: None,
-                group: Ipv4Addr::new(239, 1, (k / 250) as u8, (k % 250) as u8),
+                group: Ipv4Addr::new(239, 1, u8::try_from(k / 250).unwrap(), (k % 250) as u8),
                 ttl: 63,
                 start: 0,
                 stop: 0,
@@ -2462,7 +2502,11 @@ mod tests {
         );
         let mut rng = SimRng::new(53);
         for sid in 0..3u64 {
-            let desc = remote_desc([10, 0, 0, 9], sid, [224, 2, 128, sid as u8]);
+            let desc = remote_desc(
+                [10, 0, 0, 9],
+                sid,
+                [224, 2, 128, u8::try_from(sid).unwrap()],
+            );
             d.on_packet(t(0), &announce_pkt(&desc), &mut rng);
         }
         // Burst of 2 tokens: the third packet in the same instant drops.
@@ -2489,7 +2533,11 @@ mod tests {
         );
         let mut rng = SimRng::new(54);
         for sid in 0..3u64 {
-            let desc = remote_desc([10, 0, 0, 9], sid, [224, 2, 128, sid as u8]);
+            let desc = remote_desc(
+                [10, 0, 0, 9],
+                sid,
+                [224, 2, 128, u8::try_from(sid).unwrap()],
+            );
             d.on_packet(t(sid), &announce_pkt(&desc), &mut rng);
         }
         assert_eq!(d.cached_sessions(), 2, "third session over quota");
@@ -2623,5 +2671,191 @@ mod tests {
         d.note_rx_dropped(t(0));
         d.note_rx_dropped(t(1));
         assert_eq!(d.telemetry().metrics.counter_by_name("net.rx_dropped"), 2);
+    }
+}
+
+/// Hostile input through the real receive path, with the governor and
+/// reconciliation on: whatever arrives, the directory neither panics
+/// nor lets the wire size its tables or choose its deadlines.
+#[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "the generator folds 64 random bits into narrower fields on purpose"
+)]
+mod hostile_input {
+    use super::*;
+    use proptest::prelude::*;
+    use sdalloc_core::InformedRandomAllocator;
+
+    const GOVERNOR: GovernorConfig = GovernorConfig {
+        max_entries: 8,
+        per_source_quota: 3,
+        rate_per_sec: 0.25,
+        burst: 2.0,
+        max_tracked_sources: 4,
+    };
+    const HOST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+
+    /// A governed, reconciling directory announcing two sessions.
+    fn directory(rng: &mut SimRng) -> SessionDirectory {
+        let mut cfg = DirectoryConfig::new(HOST);
+        cfg.space = AddrSpace::abstract_space(64);
+        cfg.staleness_factor = Some(3);
+        cfg.reconcile = Some(ReconcileConfig::default());
+        cfg.governor = Some(GOVERNOR);
+        let mut dir = SessionDirectory::new(cfg, Box::new(InformedRandomAllocator));
+        for name in ["a", "b"] {
+            dir.create_session(SimTime::ZERO, name, 63, vec![], rng)
+                .expect("an empty space has room");
+        }
+        dir
+    }
+
+    /// One hostile datagram.  `kind` picks the shape; `a`, `b` and
+    /// `text` fill it with extreme ids, TTLs, times, names, bucket
+    /// lists and plain garbage.
+    fn datagram(dir: &SessionDirectory, kind: u8, a: u64, b: u64, text: &str) -> Vec<u8> {
+        // A dozen sources, skewed so that a couple of them flood.
+        let source = Ipv4Addr::new(10, 9, 0, (a % 12) as u8 >> (a >> 9 & 3));
+        let forged = || {
+            let own_group = dir.own.values().next().map(|s| s.desc.group);
+            SessionDescription {
+                origin: Origin {
+                    username: "-".into(),
+                    session_id: match a >> 62 {
+                        0 => b % 4,
+                        1 => (b % 4) + (1 << 32),
+                        2 => u64::MAX,
+                        _ => b,
+                    },
+                    version: (a >> 16) % 3,
+                    address: if a & 0x80 == 0 { source } else { HOST },
+                },
+                name: match a >> 60 & 3 {
+                    0 => "n".repeat(1024),
+                    _ => format!("s{}", b % 7),
+                },
+                info: None,
+                group: match (a >> 40 & 3, own_group) {
+                    (0, Some(group)) => group,
+                    (1, _) => Ipv4Addr::from((b >> 8) as u32),
+                    _ => dir.cfg.space.ip(Addr((b >> 8) as u32 % 64)),
+                },
+                ttl: (a >> 8) as u8,
+                start: b,
+                stop: b.rotate_left(17),
+                media: vec![],
+            }
+        };
+        let recon = |msg: ReconMessage| {
+            let payload = msg.encode_payload();
+            SapPacket::announce(source, msg_id_hash(&payload), payload)
+        };
+        let pkt = match kind {
+            0..=2 => announce_of(&forged()),
+            3 => {
+                let payload = forged().format();
+                SapPacket::delete(source, msg_id_hash(&payload), payload)
+            }
+            4 => {
+                let mut cut = announce_of(&forged()).encode().to_vec();
+                cut.truncate(b as usize % (cut.len() + 1));
+                return cut;
+            }
+            5 => {
+                let mut raw = a.to_le_bytes().to_vec();
+                raw.extend_from_slice(text.as_bytes());
+                return raw;
+            }
+            6 => recon(ReconMessage::Digest(CacheDigest {
+                seed: if a & 1 == 0 { DIGEST_SEED } else { a },
+                entries: b,
+                rebuilding: a & 2 == 0,
+                buckets: (0..if b & 3 == 0 { b % 20 } else { 16 })
+                    .map(|i| a.rotate_left(i as u32) ^ b)
+                    .collect(),
+            })),
+            7 => recon(ReconMessage::Request(ReconcileRequest {
+                buckets: (0..(a % 40))
+                    .map(|i| (b >> (i % 48)) as u16 % if i % 2 == 0 { 16 } else { u16::MAX })
+                    .collect(),
+            })),
+            _ => SapPacket::announce(source, a as u16, text.to_string()),
+        };
+        pkt.encode().to_vec()
+    }
+
+    fn announce_of(desc: &SessionDescription) -> SapPacket {
+        SessionDirectory::announcement_packet(desc.origin.address, desc)
+    }
+
+    /// What must hold after every step, whatever the step was.
+    fn assert_bounded(dir: &mut SessionDirectory, now: SimTime) {
+        assert!(dir.cached_sessions() <= GOVERNOR.max_entries);
+        assert!(dir.gov_buckets.len() <= GOVERNOR.max_tracked_sources);
+        // One announce timer per own session, three control timers.
+        assert!(dir.timers.len() <= dir.own.len() + 3);
+        assert_eq!(dir.announce_timers.len(), dir.own.len());
+
+        // Every deadline is local time plus a configured interval.
+        let cfg = &dir.cfg;
+        let longest = [
+            cfg.cache_timeout,
+            cfg.schedule.cap,
+            cfg.clash_policy.d2,
+            cfg.reconcile
+                .map_or(SimDuration::ZERO, |rc| rc.digest_interval),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(SimDuration::ZERO);
+        let limit = now + longest + SimDuration::from_nanos(1);
+        let control = [dir.cache_timer, dir.defence_timer, dir.recon_timer];
+        let armed = control.into_iter().flatten().map(|(_, at)| at);
+        for at in armed.chain(dir.own.values().map(|s| s.next_send)) {
+            assert!(at <= limit, "deadline {at} beyond {limit}");
+        }
+        assert!(dir.next_deadline().is_some_and(|at| at <= limit));
+    }
+
+    proptest! {
+        #[test]
+        fn state_and_deadlines_stay_bounded(
+            steps in proptest::collection::vec(
+                (0u8..9, any::<u64>(), any::<u64>(), 0u64..4_000, "\\PC{0,48}"),
+                1..96,
+            ),
+        ) {
+            let mut rng = SimRng::new(71);
+            let mut dir = directory(&mut rng);
+            let mut now = SimTime::ZERO;
+            let mut admitted = 0;
+            for (kind, a, b, dt_ms, text) in &steps {
+                now += SimDuration::from_millis(*dt_ms);
+                match SapPacket::decode(&datagram(&dir, *kind, *a, *b, text)) {
+                    Ok(pkt) => {
+                        let (_, events) = dir.on_packet(now, &pkt, &mut rng);
+                        admitted += events
+                            .iter()
+                            .filter(|e| matches!(e, DirectoryEvent::Heard(CacheUpdate::New)))
+                            .count();
+                    }
+                    Err(_) => dir.note_rx_dropped(now),
+                }
+                dir.poll(now);
+                assert_bounded(&mut dir, now);
+                // A refresh or a modification re-files its expiry slot;
+                // only an admission adds one, and evictions cannot pile
+                // dead ones up.
+                prop_assert!(dir.cache.expiry_slots() <= admitted);
+                prop_assert!(dir.cache.expiry_slots() <= 2 * dir.cached_sessions() + 64);
+            }
+            // With the flood over, everything it left behind ages out.
+            now = now + dir.cfg.cache_timeout + SimDuration::from_secs(1);
+            dir.poll(now);
+            assert_bounded(&mut dir, now);
+            prop_assert_eq!(dir.cached_sessions(), 0);
+            prop_assert_eq!(dir.cache.expiry_slots(), 0);
+        }
     }
 }

@@ -13,6 +13,10 @@
 //! announcers on a scope share a bandwidth budget, so the steady
 //! interval grows with the number and size of announcements heard.
 
+// A truncated address, id, length or interval corrupts state instead of
+// failing; narrow with `try_from` (DESIGN 4a).
+#![warn(clippy::cast_possible_truncation)]
+
 use sdalloc_sim::{SimDuration, SimTime};
 
 /// Exponential back-off announcement schedule.

@@ -67,7 +67,6 @@ pub struct SessionDescription {
     /// Stop time (`t=`), 0 = unbounded.
     pub stop: u64,
     /// Media streams (`m=`), at least one for a useful session.
-    // lint:bounded: the m= lines of one session description — a session carries a handful of streams, not daemon state
     pub media: Vec<Media>,
 }
 
@@ -99,7 +98,6 @@ impl std::error::Error for SdpError {}
 
 impl SessionDescription {
     /// Render to SDP text (lines terminated with `\r\n`).
-    // lint:allow(hot-alloc): rendering produces the owned SDP text this fn exists to build
     pub fn format(&self) -> String {
         let mut out = String::new();
         out.push_str("v=0\r\n");
@@ -138,7 +136,6 @@ impl SessionDescription {
     /// A borrowed view of this description (the inverse of
     /// [`DescRef::to_desc`]): lets owned descriptions flow through the
     /// borrow-only admit path without copying.
-    // lint:allow(hot-alloc): the media Vec of borrowed refs is the view's only allocation, sized by the handful of m= lines
     pub fn as_ref(&self) -> DescRef<'_> {
         DescRef {
             origin: OriginRef {
@@ -216,7 +213,6 @@ pub struct DescRef<'a> {
     /// Stop time (`t=`), 0 = unbounded.
     pub stop: u64,
     /// Media streams (`m=`): borrowed refs, one small Vec per parse.
-    // lint:bounded: the m= lines of one packet's description — a handful of streams, freed with the view
     pub media: Vec<MediaRef<'a>>,
 }
 
@@ -224,7 +220,6 @@ impl<'a> DescRef<'a> {
     /// Parse SDP text without copying a single field: every `&str` in
     /// the result borrows `text`.  Same grammar, ordering rules and
     /// errors as [`SessionDescription::parse`].
-    // lint:allow(hot-alloc): the media Vec of borrowed refs is the only allocation; error-path formatting is off the hot path
     pub fn parse(text: &'a str) -> Result<DescRef<'a>, SdpError> {
         // Only the CR of a CRLF ending is stripped: other trailing
         // whitespace is significant field content.
@@ -275,7 +270,6 @@ impl<'a> DescRef<'a> {
 
     /// Materialise an owned [`SessionDescription`] — the one place the
     /// borrowed view's strings are copied.
-    // lint:allow(hot-alloc): materialisation IS the copy; the admit path calls this only for entries the cache keeps
     pub fn to_desc(&self) -> SessionDescription {
         SessionDescription {
             origin: Origin {
@@ -305,7 +299,6 @@ impl<'a> DescRef<'a> {
 }
 
 /// Strip CR/LF from user-supplied fields so they cannot forge lines.
-// lint:allow(hot-alloc): returns the sanitized copy of a caller-owned field
 fn escape(s: &str) -> String {
     s.replace(['\r', '\n'], " ")
 }
@@ -326,7 +319,6 @@ where
 // matching: no intermediate Vec, no index expressions, total on any
 // input.  Error-path `format!` captures the offending line.
 
-// lint:allow(hot-alloc): error-path message formatting only; all fields borrow the input
 fn parse_origin(s: &str) -> Result<OriginRef<'_>, SdpError> {
     let err = || SdpError::Malformed(format!("o={s}"));
     let mut f = s.split_whitespace();
@@ -351,7 +343,6 @@ fn parse_origin(s: &str) -> Result<OriginRef<'_>, SdpError> {
     }
 }
 
-// lint:allow(hot-alloc): error-path message formatting only
 fn parse_connection(s: &str) -> Result<(Ipv4Addr, u8), SdpError> {
     let err = || SdpError::Malformed(format!("c={s}"));
     let mut f = s.split_whitespace();
@@ -368,7 +359,6 @@ fn parse_connection(s: &str) -> Result<(Ipv4Addr, u8), SdpError> {
     Ok((addr, ttl))
 }
 
-// lint:allow(hot-alloc): error-path message formatting only
 fn parse_times(s: &str) -> Result<(u64, u64), SdpError> {
     let err = || SdpError::Malformed(format!("t={s}"));
     let mut f = s.split_whitespace();
@@ -381,7 +371,6 @@ fn parse_times(s: &str) -> Result<(u64, u64), SdpError> {
     ))
 }
 
-// lint:allow(hot-alloc): error-path message formatting only; all fields borrow the input
 fn parse_media(s: &str) -> Result<MediaRef<'_>, SdpError> {
     let err = || SdpError::Malformed(format!("m={s}"));
     let mut f = s.split_whitespace();

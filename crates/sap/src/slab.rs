@@ -58,7 +58,6 @@ struct Slot<T> {
 /// counters against stale-handle aliasing.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
-    // lint:allow(unbounded-growth): slots are recycled through `free` (remove() takes the value and free-lists the index); capacity is bounded by the peak live population, which the ingest governor caps
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
     live: usize,
@@ -174,7 +173,6 @@ struct SymSlot {
 /// sessions aging in and out) does not leak the string table.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    // lint:allow(unbounded-growth): slots are recycled through `free` (release() drops the text and free-lists the index); the table is bounded by the distinct strings of live records
     slots: Vec<SymSlot>,
     lookup: HashMap<Arc<str>, u32>,
     free: Vec<u32>,
@@ -194,7 +192,7 @@ impl Interner {
                 return Sym(idx);
             }
         }
-        let arc: Arc<str> = Arc::from(text); // lint:allow(hot-alloc): first sighting of a distinct string — the one materialization point; refreshes resolve through the lookup hit above
+        let arc: Arc<str> = Arc::from(text);
         let idx = if let Some(idx) = self.free.pop() {
             if let Some(slot) = self.slots.get_mut(idx as usize) {
                 slot.text = Some(Arc::clone(&arc));
@@ -207,7 +205,7 @@ impl Interner {
         } else {
             self.push_slot(&arc)
         };
-        self.lookup.insert(arc, idx); // lint:allow(wire-taint): keyed by string content, bounded by live records' distinct strings — admission is governor-gated upstream
+        self.lookup.insert(arc, idx);
         Sym(idx)
     }
 

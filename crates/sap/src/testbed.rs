@@ -98,7 +98,10 @@ pub struct Testbed {
 /// Schedule a wakeup for `node` at global time `at` unless an earlier or
 /// equal one is already pending.  Superseded later wakeups are not
 /// cancelled; firing one finds nothing due and is a no-op.
-// lint:allow(panic-reach): test harness: instance ids are dense indices issued by this testbed
+#[expect(
+    clippy::indexing_slicing,
+    reason = "test harness: instance ids are dense indices issued by this testbed"
+)]
 fn schedule_wake(
     ctx: &mut SimContext<Event>,
     wake_at: &mut [Option<SimTime>],
@@ -197,7 +200,10 @@ impl Testbed {
     }
 
     /// Access a directory.
-    // lint:allow(panic-reach): test harness: panicking on a bad instance id is the desired failure mode
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "test harness: panicking on a bad instance id is the desired failure mode"
+    )]
     pub fn directory(&self, node: usize) -> &SessionDirectory {
         &self.directories[node]
     }
@@ -205,7 +211,10 @@ impl Testbed {
     /// Mutable access (e.g. to create sessions).  Remember to call
     /// [`Self::kick`] afterwards so the new session's announcements get
     /// scheduled.
-    // lint:allow(panic-reach): test harness: panicking on a bad instance id is the desired failure mode
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "test harness: panicking on a bad instance id is the desired failure mode"
+    )]
     pub fn directory_mut(&mut self, node: usize) -> &mut SessionDirectory {
         &mut self.directories[node]
     }
@@ -274,7 +283,10 @@ impl Testbed {
 
     /// Schedule a wakeup for `node` at its next deadline (call after
     /// creating sessions or any out-of-band mutation).
-    // lint:allow(panic-reach): test harness: panicking on a bad instance id is the desired failure mode
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "test harness: panicking on a bad instance id is the desired failure mode"
+    )]
     pub fn kick(&mut self, node: usize) {
         if let Some(at) = self.directories[node].next_deadline() {
             let at = self.faults.global_time(node, at).max(self.sim.now());
@@ -289,7 +301,10 @@ impl Testbed {
     /// or a packet arrives for it; nothing polls idle nodes.  Crashes
     /// and restarts are events that stop and re-prime a node's timer
     /// chain rather than per-packet window checks.
-    // lint:allow(panic-reach): test harness: instance ids are dense indices issued by this testbed
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "test harness: instance ids are dense indices issued by this testbed"
+    )]
     pub fn run_until(&mut self, horizon: SimTime) {
         // Split borrows for the closure.
         let directories = &mut self.directories;
@@ -419,7 +434,10 @@ fn forge_storm_packet(storm: usize, i: u32, rng: &mut SimRng) -> SapPacket {
 /// Fan a packet out to every other node through the channel, under the
 /// fault plan: partition cuts, crashed recipients, burst loss, and
 /// corruption ([`corrupt_in_flight`]) all apply per (link, packet).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "takes the testbed field by field so the caller keeps `directories` borrowed"
+)]
 fn fan_out(
     ctx: &mut SimContext<Event>,
     channel: &Channel,

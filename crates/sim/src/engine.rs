@@ -84,7 +84,6 @@ impl<E> SimContext<E> {
     ///
     /// Scheduling in the past is a logic error in a discrete-event
     /// simulation; it panics rather than silently reordering history.
-    // lint:allow(wire-taint): the event queue is the simulator's transport — delivering (possibly corrupted) wire packets is its contract, and every entry is popped when due
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,

@@ -142,19 +142,14 @@ pub struct Storm {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Burst-loss windows.
-    // lint:allow(unbounded-growth): a fault plan is authored before the run and dropped with it; it never grows during execution
     pub burst_loss: Vec<LossWindow>,
     /// Partition windows (heal at window end).
-    // lint:allow(unbounded-growth): a fault plan is authored before the run and dropped with it; it never grows during execution
     pub partitions: Vec<PartitionWindow>,
     /// Crash/restart events.
-    // lint:allow(unbounded-growth): a fault plan is authored before the run and dropped with it; it never grows during execution
     pub crashes: Vec<CrashEvent>,
     /// Packet-corruption windows.
-    // lint:allow(unbounded-growth): a fault plan is authored before the run and dropped with it; it never grows during execution
     pub corruption: Vec<CorruptWindow>,
     /// Announcement storms.
-    // lint:allow(unbounded-growth): a fault plan is authored before the run and dropped with it; it never grows during execution
     pub storms: Vec<Storm>,
     /// Per-node clock offsets in nanoseconds (local = global + offset).
     skew: Vec<(usize, i64)>,

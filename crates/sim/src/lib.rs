@@ -27,6 +27,16 @@
 //! ```
 
 #![warn(missing_docs)]
+// Panic scope (DESIGN 4a): a long-running daemon degrades, it does not
+// abort.  `scripts/check.sh` denies these; tests are exempt (clippy.toml).
+#![warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod channel;
 pub mod engine;

@@ -38,7 +38,6 @@ impl SimRng {
 
     /// Next raw 64-bit output.
     #[inline]
-    // lint:allow(panic-reach): fixed [u64; 4] xoshiro state indexed by constant in-bounds indices
     pub fn next_u64_raw(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -61,7 +60,6 @@ impl SimRng {
     /// Uniform integer in `[0, bound)`.  `bound` must be non-zero.
     ///
     /// Uses Lemire's multiply-shift rejection method to avoid modulo bias.
-    // lint:sanitizer(wire-taint): returns a fresh pseudo-random draw in [0, bound); a wire-influenced bound caps the range but cannot choose the value
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
@@ -93,7 +91,10 @@ impl SimRng {
 
     /// Pick a uniformly random element of a non-empty slice.
     #[inline]
-    // lint:allow(panic-reach): index() yields a value strictly below items.len(); non-emptiness is the asserted contract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index() yields a value strictly below items.len(); non-emptiness is the asserted contract"
+    )]
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.index(items.len())]
@@ -148,7 +149,10 @@ impl RngCore for SimRng {
         self.next_u64_raw()
     }
 
-    // lint:allow(panic-reach): the remainder slice is shorter than the 8-byte word it copies from
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the remainder slice is shorter than the 8-byte word it copies from"
+    )]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
         for chunk in &mut chunks {

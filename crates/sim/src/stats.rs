@@ -100,8 +100,6 @@ impl Summary {
 /// Integer-bucketed histogram (bucket = value), e.g. hop counts.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    // lint:allow(unbounded-growth): run-scoped accumulator sized by the largest observed sample, not daemon state
-    // lint:bounded: one slot per integer bucket up to the largest observed sample (hop counts, TTLs) — a few hundred entries, not per-session state
     counts: Vec<u64>,
     total: u64,
 }
@@ -113,7 +111,10 @@ impl Histogram {
     }
 
     /// Record one observation of integer `value`.
-    // lint:allow(panic-reach): counts is resized to value + 1 immediately above the index
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "counts is resized to value + 1 immediately above the index"
+    )]
     pub fn add(&mut self, value: usize) {
         if value >= self.counts.len() {
             self.counts.resize(value + 1, 0);
@@ -123,7 +124,10 @@ impl Histogram {
     }
 
     /// Record `count` observations of `value`.
-    // lint:allow(panic-reach): counts is resized to value + 1 immediately above the index
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "counts is resized to value + 1 immediately above the index"
+    )]
     pub fn add_n(&mut self, value: usize, count: u64) {
         if count == 0 {
             return;
@@ -152,7 +156,10 @@ impl Histogram {
 
     /// Bucket with the highest count (the paper's "most frequent hop
     /// count"), lowest index on ties; `None` if empty.
-    // lint:allow(panic-reach): best is a previously-visited enumerate index of the same vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "best is a previously-visited enumerate index of the same vec"
+    )]
     pub fn mode(&self) -> Option<usize> {
         if self.total == 0 {
             return None;
@@ -204,7 +211,10 @@ impl Histogram {
 /// The `q`-quantile (0 ≤ q ≤ 1) of a slice by linear interpolation
 /// between order statistics.  Panics on empty input; NaN values sort
 /// after +∞ under IEEE 754 total order rather than panicking.
-// lint:allow(panic-reach): lo/hi derive from q*(len-1) with q clamped to [0,1]; emptiness is the asserted contract
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lo/hi derive from q*(len-1) with q clamped to [0,1]; emptiness is the asserted contract"
+)]
 pub fn quantile(data: &[f64], q: f64) -> f64 {
     assert!(!data.is_empty(), "quantile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
@@ -226,7 +236,10 @@ pub fn quantile(data: &[f64], q: f64) -> f64 {
 /// Edges are handled by shrinking the window symmetrically, so the output
 /// has the same length as the input.  This is the noise-removal step the
 /// paper applies before locating the 50%-clash-probability crossing.
-// lint:allow(panic-reach): the window radius is clamped to min(i, n-1-i), so lo..=hi stays inside data
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the window radius is clamped to min(i, n-1-i), so lo..=hi stays inside data"
+)]
 pub fn median_filter(data: &[f64], window: usize) -> Vec<f64> {
     assert!(window % 2 == 1, "window must be odd");
     let half = window / 2;
@@ -245,7 +258,10 @@ pub fn median_filter(data: &[f64], window: usize) -> Vec<f64> {
 
 /// Median of a slice (panics on empty; NaN sorts last under IEEE 754
 /// total order).  Averages the two middle elements for even lengths.
-// lint:allow(panic-reach): n/2 and n/2-1 are in-bounds for the non-empty (asserted) sorted copy
+#[expect(
+    clippy::indexing_slicing,
+    reason = "n/2 and n/2-1 are in-bounds for the non-empty (asserted) sorted copy"
+)]
 pub fn median(data: &[f64]) -> f64 {
     assert!(!data.is_empty(), "median of empty slice");
     let mut v = data.to_vec();
@@ -263,7 +279,10 @@ pub fn median(data: &[f64]) -> f64 {
 ///
 /// Used to locate "allocations before clash probability exceeds 0.5" on a
 /// sampled clash-probability curve.
-// lint:allow(panic-reach): i ranges over data.len() and i-1 is guarded by the i == 0 early return
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i ranges over data.len() and i-1 is guarded by the i == 0 early return"
+)]
 pub fn first_crossing(data: &[f64], threshold: f64) -> Option<f64> {
     for i in 0..data.len() {
         if data[i] >= threshold {

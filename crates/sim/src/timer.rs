@@ -99,7 +99,6 @@ impl<K> TimerQueue<K> {
     }
 
     /// Schedule `key` to fire at `due`.  O(log n).
-    // lint:allow(wire-taint): the heap holds one entry per armed timer and fires/cancels evict it; callers own deadline validation (the directory clamps wire intervals at admission)
     pub fn schedule(&mut self, due: SimTime, key: K) -> TimerToken {
         let token = self.next_token;
         self.next_token += 1;
@@ -213,7 +212,6 @@ impl ShardToken {
 /// contract (deadline order, then schedule order) is preserved
 /// verbatim.
 pub struct ShardedTimerQueue<K> {
-    // lint:bounded: fixed at construction (TTL bands + control shard, ≤ 5); nothing ever pushes a new shard
     shards: Vec<TimerQueue<K>>,
     next_token: u64,
 }
@@ -259,7 +257,6 @@ impl<K> ShardedTimerQueue<K> {
 
     /// Schedule `key` at `due` in `shard` (clamped to the last shard),
     /// minting the token from the queue-wide FIFO sequence.
-    // lint:allow(wire-taint): the per-shard heap holds one entry per armed timer and fires/cancels evict it; callers own deadline validation (the directory clamps wire intervals at admission)
     pub fn schedule(&mut self, shard: usize, due: SimTime, key: K) -> ShardToken {
         let shard = shard.min(self.shards.len().saturating_sub(1));
         let token = self.next_token;

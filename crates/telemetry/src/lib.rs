@@ -120,7 +120,6 @@ struct Histogram {
 }
 
 impl Histogram {
-    // lint:allow(panic-reach): partition_point over bounds yields at most bounds.len(), and buckets holds bounds.len() + 1 entries
     fn observe(&mut self, value: u64) {
         let idx = self.bounds.partition_point(|&b| b < value);
         self.buckets[idx] += 1;
@@ -133,11 +132,8 @@ impl Histogram {
 /// linear name scan; increments (hot) are a `Vec` index.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    // lint:allow(unbounded-growth): metric registration happens at setup time against a static name set
     counters: Vec<(&'static str, u64)>,
-    // lint:allow(unbounded-growth): metric registration happens at setup time against a static name set
     gauges: Vec<(&'static str, i64)>,
-    // lint:allow(unbounded-growth): metric registration happens at setup time against a static name set
     histograms: Vec<Histogram>,
 }
 
@@ -168,7 +164,6 @@ impl MetricsRegistry {
     /// Register (or look up) a histogram by name with the given
     /// ascending upper bounds.  Idempotent; bounds are fixed by the
     /// first registration.
-    // lint:allow(panic-reach): windows(2) chunks have exactly two elements
     pub fn histogram(&mut self, name: &'static str, bounds: &[u64]) -> HistogramId {
         if let Some(i) = self.histograms.iter().position(|h| h.name == name) {
             return HistogramId(i as u32);
@@ -314,7 +309,6 @@ impl FlightRecorder {
     }
 
     /// Append an event, evicting the oldest if full.
-    // lint:allow(wire-taint): fixed-capacity ring — the oldest event is evicted at cap before the push, so wire-paced events cannot grow it
     pub fn push(&mut self, ev: TraceEvent) {
         if self.ring.len() == self.cap {
             self.ring.pop_front();

@@ -16,6 +16,10 @@
 //! Zones must nest or be disjoint (the RFC 2365 invariant); overlapping
 //! zones would make the boundary filters ambiguous.
 
+// A truncated address, id, length or interval corrupts state instead of
+// failing; narrow with `try_from` (DESIGN 4a).
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::graph::{NodeId, Topology};
 use crate::nodeset::NodeSet;
 
@@ -75,7 +79,6 @@ impl std::error::Error for AdminError {}
 /// The set of administrative zones configured on a topology.
 #[derive(Debug, Clone, Default)]
 pub struct AdminScoping {
-    // lint:allow(unbounded-growth): admin zones are operator configuration loaded at startup
     zones: Vec<AdminZone>,
 }
 

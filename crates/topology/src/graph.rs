@@ -12,6 +12,10 @@
 //! threshold.  An unconfigured link behaves as threshold 1 (the packet
 //! merely needs to still be alive).
 
+// A truncated address, id, length or interval corrupts state instead of
+// failing; narrow with `try_from` (DESIGN 4a).
+#![warn(clippy::cast_possible_truncation)]
+
 use sdalloc_sim::SimDuration;
 
 /// Index of a node (mrouter) in a [`Topology`].
@@ -75,12 +79,9 @@ pub struct Node {
 /// An immutable multicast topology: nodes plus undirected links.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    // lint:allow(unbounded-growth): a topology is built once by a generator and immutable afterwards
     nodes: Vec<Node>,
-    // lint:allow(unbounded-growth): a topology is built once by a generator and immutable afterwards
     links: Vec<Link>,
     /// adjacency[v] = list of (link id, neighbour) pairs.
-    // lint:allow(unbounded-growth): a topology is built once by a generator and immutable afterwards
     adjacency: Vec<Vec<(LinkId, NodeId)>>,
 }
 
@@ -117,7 +118,10 @@ impl Topology {
 
     /// Add an undirected link.  Panics on self-loops or out-of-range
     /// endpoints; a zero metric is clamped to 1 and a zero threshold to 1.
-    // lint:allow(panic-reach): the asserts are the documented construction contract (no self-loops, endpoints in range); topology building is offline, not the packet path
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the asserts are the documented construction contract (no self-loops, endpoints in range); topology building is offline, not the packet path"
+    )]
     pub fn add_link(
         &mut self,
         a: NodeId,
@@ -160,19 +164,28 @@ impl Topology {
     }
 
     /// Node metadata.
-    // lint:allow(panic-reach): node ids are minted by add_node and validated there; an out-of-range id is a caller bug in offline topology construction, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are minted by add_node and validated there; an out-of-range id is a caller bug in offline topology construction, not wire-reachable state"
+    )]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
     /// Mutable node metadata.
-    // lint:allow(panic-reach): node ids are minted by add_node and validated there; an out-of-range id is a caller bug in offline topology construction, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are minted by add_node and validated there; an out-of-range id is a caller bug in offline topology construction, not wire-reachable state"
+    )]
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
     }
 
     /// Link attributes.
-    // lint:allow(panic-reach): link ids are minted by add_link; an out-of-range id is a caller bug in offline topology construction, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "link ids are minted by add_link; an out-of-range id is a caller bug in offline topology construction, not wire-reachable state"
+    )]
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
     }
@@ -183,19 +196,28 @@ impl Topology {
     }
 
     /// Neighbours of `v` as `(link, neighbour)` pairs.
-    // lint:allow(panic-reach): adjacency is sized to the node count by add_node; ids are minted there
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "adjacency is sized to the node count by add_node; ids are minted there"
+    )]
     pub fn neighbors(&self, v: NodeId) -> &[(LinkId, NodeId)] {
         &self.adjacency[v.index()]
     }
 
     /// Degree of a node.
-    // lint:allow(panic-reach): adjacency is sized to the node count by add_node; ids are minted there
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "adjacency is sized to the node count by add_node; ids are minted there"
+    )]
     pub fn degree(&self, v: NodeId) -> usize {
         self.adjacency[v.index()].len()
     }
 
     /// Whether every node can reach every other node (ignoring TTL).
-    // lint:allow(panic-reach): every index comes from the graph's own adjacency lists, always below node_count
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index comes from the graph's own adjacency lists, always below node_count"
+    )]
     pub fn is_connected(&self) -> bool {
         if self.nodes.is_empty() {
             return true;
@@ -220,7 +242,10 @@ impl Topology {
     ///
     /// The paper removed disconnected subtrees of the mcollect map before
     /// simulating; generators use this for the same clean-up.
-    // lint:allow(panic-reach): every index comes from the graph's own adjacency lists, always below node_count
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index comes from the graph's own adjacency lists, always below node_count"
+    )]
     pub fn largest_component(&self) -> Vec<NodeId> {
         let n = self.nodes.len();
         let mut comp = vec![usize::MAX; n];
@@ -259,7 +284,10 @@ impl Topology {
     /// Build a new topology containing only the given nodes (and the links
     /// among them), renumbering node ids densely.  Returns the new
     /// topology and a mapping from old id to new id.
-    // lint:allow(panic-reach): the id map is sized to node_count and only minted ids index it; offline topology surgery, not the packet path
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the id map is sized to node_count and only minted ids index it; offline topology surgery, not the packet path"
+    )]
     pub fn induced_subgraph(&self, keep: &[NodeId]) -> (Topology, Vec<Option<NodeId>>) {
         let mut map: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
         let mut out = Topology::new();

@@ -50,7 +50,10 @@ impl HopCountProfile {
 /// every reachable node's hop distance into each TTL's histogram.
 /// Sources may be sub-sampled via `stride` (1 = every node, the paper's
 /// choice) to trade accuracy for speed on large maps.
-// lint:allow(panic-reach): tree.hops is sized to node_count by SourceTree::compute; offline analysis, not the packet path
+#[expect(
+    clippy::indexing_slicing,
+    reason = "tree.hops is sized to node_count by SourceTree::compute; offline analysis, not the packet path"
+)]
 pub fn hop_count_profiles(topo: &Topology, ttls: &[u8], stride: usize) -> Vec<HopCountProfile> {
     assert!(stride >= 1, "stride must be positive");
     let mut profiles: Vec<HopCountProfile> = ttls

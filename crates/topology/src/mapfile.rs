@@ -99,7 +99,10 @@ pub fn save_file(topo: &Topology, path: &Path) -> Result<(), MapfileError> {
 }
 
 /// Parse a topology from map text.
-// lint:allow(panic-reach): every field index is preceded by an exact fields.len() check in the same match arm; malformed lines return MapfileError instead
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every field index is preceded by an exact fields.len() check in the same match arm; malformed lines return MapfileError instead"
+)]
 pub fn load_str(text: &str) -> Result<Topology, MapfileError> {
     let mut topo = Topology::new();
     for (lineno, raw) in text.lines().enumerate() {

@@ -128,7 +128,10 @@ impl MboneMap {
     }
 
     /// Generate a map.
-    // lint:allow(panic-reach): offline generator: country/continent tables are built and sized in this function before any index
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offline generator: country/continent tables are built and sized in this function before any index"
+    )]
     pub fn generate(params: &MboneParams) -> MboneMap {
         assert!(params.target_nodes >= 64, "map too small to be structured");
         let mut rng = SimRng::new(params.seed);
@@ -200,7 +203,10 @@ impl MboneMap {
     }
 
     /// Continent of a node.
-    // lint:allow(panic-reach): node_continent is sized to node_count at generation; ids are minted by the same generator
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node_continent is sized to node_count at generation; ids are minted by the same generator"
+    )]
     pub fn continent_of(&self, v: NodeId) -> Continent {
         self.countries[self.node_country[v.index()] as usize].continent
     }
@@ -211,7 +217,10 @@ impl MboneMap {
 /// Structure: a national backbone ring-ish core; regional hubs hanging
 /// off the backbone; organisations ("sites") behind TTL-16 boundary
 /// links; small random trees inside each organisation.
-// lint:allow(panic-reach): offline generator helper: indices address the node vector it just filled
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offline generator helper: indices address the node vector it just filled"
+)]
 fn build_country(
     topo: &mut Topology,
     node_country: &mut Vec<u16>,
@@ -315,7 +324,10 @@ fn build_country(
 
 /// Wire countries together: TTL-48 borders inside Europe, TTL-64
 /// elsewhere and between continents.
-// lint:allow(panic-reach): offline generator helper: gateway indices come from the country tables built by generate
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offline generator helper: gateway indices come from the country tables built by generate"
+)]
 fn link_countries(topo: &mut Topology, countries: &[Country], rng: &mut SimRng) {
     let ms = SimDuration::from_millis;
     let by_continent = |c: Continent| -> Vec<usize> {

@@ -21,7 +21,6 @@ use crate::graph::NodeId;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeSet {
-    // lint:bounded: fixed at construction — capacity.div_ceil(64) words for the topology's node count; never grows afterwards
     words: Vec<u64>,
     /// Number of node ids the set was sized for.
     capacity: usize,
@@ -43,7 +42,10 @@ impl NodeSet {
 
     /// Insert a node id.  Panics if out of capacity.
     #[inline]
-    // lint:allow(panic-reach): i / 64 is below words.len() whenever i < capacity, which is checked first
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i / 64 is below words.len() whenever i < capacity, which is checked first"
+    )]
     pub fn insert(&mut self, id: NodeId) {
         let i = id.index();
         assert!(
@@ -56,7 +58,10 @@ impl NodeSet {
 
     /// Remove a node id (no-op when absent).
     #[inline]
-    // lint:allow(panic-reach): i / 64 is below words.len() whenever i < capacity, which is checked first
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i / 64 is below words.len() whenever i < capacity, which is checked first"
+    )]
     pub fn remove(&mut self, id: NodeId) {
         let i = id.index();
         if i < self.capacity {
@@ -66,7 +71,10 @@ impl NodeSet {
 
     /// Membership test.
     #[inline]
-    // lint:allow(panic-reach): i / 64 is below words.len() whenever i < capacity, which is checked first
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i / 64 is below words.len() whenever i < capacity, which is checked first"
+    )]
     pub fn contains(&self, id: NodeId) -> bool {
         let i = id.index();
         i < self.capacity && (self.words[i / 64] >> (i % 64)) & 1 == 1

@@ -56,7 +56,10 @@ impl SourceTree {
     /// the same topology always produce the same tree.  Paths whose total
     /// metric reaches [`DVMRP_INFINITY`] are treated as unreachable, as a
     /// DVMRP router would.
-    // lint:allow(panic-reach): dist/parent/hops are sized to node_count before the Dijkstra loop; link endpoints are in range by Topology's construction contract
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dist/parent/hops are sized to node_count before the Dijkstra loop; link endpoints are in range by Topology's construction contract"
+    )]
     pub fn compute(topo: &Topology, source: NodeId) -> SourceTree {
         let n = topo.node_count();
         let mut metric = vec![u32::MAX; n];
@@ -142,7 +145,10 @@ impl SourceTree {
 
     /// Whether a packet sent with `ttl` from this tree's source reaches `v`.
     #[inline]
-    // lint:allow(panic-reach): parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state"
+    )]
     pub fn reaches(&self, v: NodeId, ttl: u8) -> bool {
         self.required_ttl[v.index()] as u32 <= ttl as u32
     }
@@ -161,7 +167,10 @@ impl SourceTree {
 
     /// Nodes reachable at `ttl` with their hop distance and delay —
     /// the per-source ingredient of the Figure 10 hop-count histograms.
-    // lint:allow(panic-reach): parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state"
+    )]
     pub fn reach_with_hops(
         &self,
         ttl: u8,
@@ -204,7 +213,10 @@ impl SptCache {
     }
 
     /// The tree rooted at `source`, computing it on first use.
-    // lint:allow(panic-reach): the cache key is the minted source id; the underlying compute sizes its vectors to node_count
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the cache key is the minted source id; the underlying compute sizes its vectors to node_count"
+    )]
     pub fn tree(&mut self, source: NodeId) -> &SourceTree {
         let topo = &self.topo;
         self.trees[source.index()]
@@ -240,7 +252,10 @@ impl SharedTree {
 
     /// Pick the most central node (minimum eccentricity by delay over a
     /// sample of sources) as the core.  Deterministic.
-    // lint:allow(panic-reach): eccentricity/dist tables are sized to node_count before any index
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "eccentricity/dist tables are sized to node_count before any index"
+    )]
     pub fn with_central_core(topo: &Topology) -> SharedTree {
         // Use the node minimising total delay from node 0's tree as a
         // cheap 1-median proxy: compute the tree from node 0, take the
@@ -283,7 +298,10 @@ impl SharedTree {
     }
 
     /// Hop depth of `v` below the core (`None` if off-tree).
-    // lint:allow(panic-reach): parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state"
+    )]
     pub fn depth(&self, v: NodeId) -> Option<u32> {
         if self.tree.required_ttl[v.index()] == TTL_UNREACHABLE {
             None
@@ -294,7 +312,10 @@ impl SharedTree {
 
     /// Delay along the unique tree path between `a` and `b`
     /// (delay(a→lca) + delay(lca→b)).
-    // lint:allow(panic-reach): parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state"
+    )]
     pub fn path_delay(&self, a: NodeId, b: NodeId) -> Option<SimDuration> {
         let lca = self.lca(a, b)?;
         let da = self.tree.delay[a.index()] - self.tree.delay[lca.index()];
@@ -303,7 +324,10 @@ impl SharedTree {
     }
 
     /// Hop count along the tree path between `a` and `b`.
-    // lint:allow(panic-reach): parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state"
+    )]
     pub fn path_hops(&self, a: NodeId, b: NodeId) -> Option<u32> {
         let lca = self.lca(a, b)?;
         Some(
@@ -312,7 +336,10 @@ impl SharedTree {
     }
 
     /// Lowest common ancestor of `a` and `b` on the tree.
-    // lint:allow(panic-reach): parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parent/hops/delay are sized to node_count by compute; a foreign NodeId is a caller bug in offline analysis, not wire-reachable state"
+    )]
     pub fn lca(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
         if self.tree.metric[a.index()] == u32::MAX || self.tree.metric[b.index()] == u32::MAX {
             return None;

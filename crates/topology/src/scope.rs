@@ -39,7 +39,6 @@ impl Scope {
 /// `zones_overlap` is a bitset AND over cached reach sets.
 pub struct ScopeCache {
     spt: SptCache,
-    // lint:allow(unbounded-growth): memoizes reach sets over a fixed topology; the key domain is nodes x 256 TTLs
     sets: HashMap<Scope, NodeSet>,
 }
 

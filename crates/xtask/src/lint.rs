@@ -1,5 +1,4 @@
-//! The custom source lint pass (the *lexical* tier — the semantic,
-//! call-graph-based tier lives in `semantic.rs`).
+//! The custom source lint pass.
 //!
 //! Five rules, all scoped to where their failure mode actually bites:
 //!
@@ -30,10 +29,10 @@
 //!   suppress anything and is itself a finding, as is a marker naming
 //!   a rule that does not exist (typo protection).
 //!
-//! The old **panic-path** rule was superseded in PR 6 by the semantic
-//! `panic-reach` analysis (`semantic.rs`), which catches the same
-//! tokens plus slice/array indexing and panics reached transitively
-//! through helpers.
+//! Panic-freedom is not policed here: the clippy restriction lints
+//! (`indexing_slicing`, `unwrap_used`, `expect_used`, `panic`, `todo`,
+//! `unimplemented`) are switched on at the root of every panic-scoped
+//! crate and denied by `scripts/check.sh` (DESIGN.md 4a).
 //!
 //! The scanner is deliberately lexical: it masks comments, string and
 //! character literals (preserving line structure), skips `#[cfg(test)]`
@@ -78,15 +77,13 @@ const RNG_EXEMPT: &[&str] = &["crates/sim/src/rng.rs"];
 
 /// Paths (file or directory prefixes) allowed to read the wall clock:
 /// the real UDP transport needs packet timestamps, the benchmark
-/// harness measures elapsed wall time by definition, the xtask checker
-/// times its own CI budget (semantic tier: <10s), and the runtime
+/// harness measures elapsed wall time by definition, and the runtime
 /// *driver* files bridge wall time to `SimTime` (that is their job).
 /// The runtime's snapshot module is deliberately absent: the read path
 /// is pure protocol-state projection and must stay replayable.
 const WALL_CLOCK_EXEMPT: &[&str] = &[
     "crates/sap/src/net.rs",
     "crates/bench/",
-    "crates/xtask/",
     "crates/runtime/src/clock.rs",
     "crates/runtime/src/bus.rs",
     "crates/runtime/src/driver.rs",
@@ -131,26 +128,20 @@ impl Rule {
     }
 }
 
-/// Every rule name a `lint:allow(...)` marker may legally reference —
-/// the lexical rules above plus the semantic tier's rules.
+/// Every rule name a `lint:allow(...)` marker may legally reference.
+/// The six call-graph/dataflow rules retired in PR 14 are deliberately
+/// absent, so a leftover marker for one of them is itself a finding.
 const KNOWN_RULES: &[&str] = &[
     "rng-discipline",
     "truncating-cast",
     "wall-clock",
     "print-ban",
     "allow-justification",
-    "panic-reach",
-    "hot-alloc",
-    "unbounded-growth",
-    "wire-taint",
-    "hot-path-scan",
-    "read-path-purity",
 ];
 
 /// Whether `line` carries a *justified* suppression for `rule_name`:
-/// `lint:allow(<rule>): <non-empty reason>`.  Shared with the semantic
-/// tier, which uses the same marker syntax.
-pub fn allow_marker(line: &str, rule_name: &str) -> bool {
+/// `lint:allow(<rule>): <non-empty reason>`.
+fn allow_marker(line: &str, rule_name: &str) -> bool {
     let pat = format!("lint:allow({rule_name})");
     let Some(pos) = line.find(&pat) else {
         return false;
@@ -660,10 +651,21 @@ mod tests {
     }
 
     #[test]
-    fn semantic_rule_names_are_legal_in_markers() {
-        let src = "fn f() {} // lint:allow(panic-reach): fixture for the semantic tier\n";
-        let f = find("crates/core/src/alloc.rs", src);
-        assert!(f.is_empty(), "{f:?}");
+    fn retired_rule_names_are_stale_markers() {
+        for rule in [
+            "panic-reach",
+            "hot-alloc",
+            "unbounded-growth",
+            "wire-taint",
+            "hot-path-scan",
+            "read-path-purity",
+        ] {
+            let src =
+                format!("fn f() {{}} // lint:allow({rule}): left over from the retired tier\n");
+            let f = find("crates/core/src/alloc.rs", &src);
+            assert_eq!(f.len(), 1, "{rule}: {f:?}");
+            assert_eq!(f[0].rule, Rule::AllowJustification);
+        }
     }
 
     #[test]

@@ -1,44 +1,28 @@
 //! `cargo xtask` — the workspace's own static-analysis tool.
 //!
-//! * `cargo xtask check` — run the lexical lint pass, the invariant
-//!   verifier and the semantic lint tier; exit non-zero if any finds a
-//!   violation.
-//! * `cargo xtask check --semantic` — semantic tier only (call graph +
-//!   panic-reach / hot-alloc / unbounded-growth, plus the dataflow
-//!   tier: wire-taint / hot-path-scan / read-path-purity).
-//!   * `--json` — emit the SARIF-lite report on stdout instead of text.
-//!   * `--update-baseline` — rewrite `crates/xtask/semantic-baseline.txt`
-//!     from the current findings and exit successfully.
-//! * `cargo xtask check --explain <rule>` — print a rule's contract and
-//!   suppression syntax.
+//! * `cargo xtask check` — run the lexical lint pass and the invariant
+//!   verifier; exit non-zero if either finds a violation.
 //! * `cargo xtask lint` — lexical lint pass only.
 //! * `cargo xtask invariants` — invariant verifier only.
 //! * `cargo xtask model` — bounded explicit-state model checking of the
 //!   clash and request–response protocols (`--smoke` for the
 //!   depth-limited CI slice).
 //!
-//! No external dependencies: the lexical pass is a line scanner, the
-//! semantic tier is a hand-rolled lexer + item parser + call graph over
-//! the workspace's own sources (see `lexer.rs`, `callgraph.rs`,
-//! `semantic.rs`), and the verifier and model checker drive the real
-//! `sdalloc-core` / `sdalloc-rr` artifacts.  See DESIGN.md "Static
-//! analysis and verification".
+//! No external dependencies: the lint pass is a line scanner, and the
+//! verifier and model checker drive the real `sdalloc-core` /
+//! `sdalloc-rr` artifacts.  Panic-freedom, checked casts and
+//! allocation-free hot paths are enforced by clippy, types and the
+//! counting-allocator tests instead; see DESIGN.md "Static analysis
+//! and verification".
 
-mod callgraph;
-mod dataflow;
 mod invariants;
-mod lexer;
 mod lint;
 mod model;
-mod semantic;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-/// CI wall-time budget for the semantic tier (ISSUE 6: the gate must
-/// stay under 10 seconds so it can run on every push).
-const SEMANTIC_BUDGET_MS: u128 = 10_000;
+const USAGE: &str = "usage: cargo xtask [check|lint|invariants|model [--smoke]]";
 
 fn workspace_root() -> PathBuf {
     // crates/xtask -> crates -> workspace root.
@@ -52,27 +36,12 @@ fn workspace_root() -> PathBuf {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = args.first().map_or("check", String::as_str);
-    let flag = |name: &str| args.iter().any(|a| a == name);
     match mode {
-        "check" => {
-            if let Some(pos) = args.iter().position(|a| a == "--explain") {
-                return explain(args.get(pos + 1).map(String::as_str));
-            }
-            let semantic_only = flag("--semantic");
-            run(
-                !semantic_only,
-                !semantic_only,
-                SemanticMode {
-                    enabled: true,
-                    json: flag("--json"),
-                    update_baseline: flag("--update-baseline"),
-                },
-            )
-        }
-        "lint" => run(true, false, SemanticMode::off()),
-        "invariants" => run(false, true, SemanticMode::off()),
+        "check" => run(true, true),
+        "lint" => run(true, false),
+        "invariants" => run(false, true),
         "model" => {
-            let smoke = flag("--smoke");
+            let smoke = args.iter().any(|a| a == "--smoke");
             if model::run(smoke) {
                 ExitCode::SUCCESS
             } else {
@@ -80,134 +49,17 @@ fn main() -> ExitCode {
             }
         }
         "help" | "--help" | "-h" => {
-            eprintln!(
-                "usage: cargo xtask [check [--semantic] [--json] [--update-baseline] [--explain <rule>]|lint|invariants|model [--smoke]]"
-            );
+            eprintln!("{USAGE}");
             ExitCode::SUCCESS
         }
         other => {
-            eprintln!(
-                "unknown command `{other}`; usage: cargo xtask [check [--semantic] [--json] [--update-baseline] [--explain <rule>]|lint|invariants|model [--smoke]]"
-            );
+            eprintln!("unknown command `{other}`; {USAGE}");
             ExitCode::FAILURE
         }
     }
 }
 
-/// `cargo xtask check --explain <rule>`: the contract and suppression
-/// syntax of every semantic rule, kept here so CI output can point
-/// developers at one command instead of at the sources.
-fn explain(rule: Option<&str>) -> ExitCode {
-    const RULES: &[(&str, &str, &str)] = &[
-        (
-            "panic-reach",
-            "In the panic-scoped crates (core, sap, rr, sim, topology, chaos) no\n\
-             non-test function may contain a direct panic source (unwrap/expect/\n\
-             panic!/todo!/unimplemented!/index expressions), and no public function\n\
-             may transitively reach one through workspace calls.  A reachable panic\n\
-             takes the whole daemon down.",
-            "`// lint:allow(panic-reach): <reason>` on the source line, or on/above\n\
-             the fn signature to waive the whole function.",
-        ),
-        (
-            "hot-alloc",
-            "Functions reachable from the event-core hot roots (SessionDirectory::\n\
-             {on_timer,on_packet,next_deadline}, AnnouncementCache::{purge_expired,\n\
-             purge_stale}, SapPacket::decode) must not heap-allocate (format!/vec!/\n\
-             Vec::new/.clone()/.to_vec()/.collect()/…).  Per-packet allocation is\n\
-             the scaling bottleneck of the million-session arc.",
-            "`// lint:allow(hot-alloc): <reason>` on the allocating line, or\n\
-             on/above the fn signature.",
-        ),
-        (
-            "unbounded-growth",
-            "A collection-typed struct field with insert-side calls but no evict\n\
-             side (remove/retain/drain/mem::take/reassignment) anywhere in its\n\
-             owner's methods leaks in a long-running daemon.",
-            "`// lint:allow(unbounded-growth): <reason>` on or above the field\n\
-             declaration.",
-        ),
-        (
-            "wire-taint",
-            "Values derived from the wire (SapPacket/SessionDescription-typed\n\
-             params; returns of SapPacket::decode, the sdp.rs parsers and net.rs\n\
-             recv paths) must pass a registered sanitizer before reaching a sink:\n\
-             allocation-range arithmetic in core (hier/static_ipr/partition_map),\n\
-             a TimerQueue::schedule deadline, or a cache-growth insert on a self\n\
-             collection.  Every fact a directory holds arrives in an adversarial\n\
-             SAP packet; unvalidated wire data must not drive allocator or timer\n\
-             arithmetic.  The finding message carries the source→sink chain.",
-            "Register a validator with `// lint:sanitizer(wire-taint): <reason>`\n\
-             on/above its fn signature (calls through it cleanse the value), or\n\
-             suppress one sink with `// lint:allow(wire-taint): <reason>` on the\n\
-             sink line (fn-signature placement waives the whole function).",
-        ),
-        (
-            "hot-path-scan",
-            "Iteration sites (`for` over self.<field>, .iter()/.values()/.keys()/\n\
-             .retain()/.drain() on one) over unbounded collection-typed fields are\n\
-             flagged in functions reachable from the event-core hot roots: an O(n)\n\
-             full scan on a per-packet path caps the cache size the runtime can\n\
-             sustain.",
-            "`// lint:bounded: <why the size is a constant>` on/above the field\n\
-             declaration (bound evidence), or `// lint:allow(hot-path-scan):\n\
-             <reason>` on the scan line or fn signature.",
-        ),
-        (
-            "read-path-purity",
-            "Every `&self` pub fn on SessionDirectory/AnnouncementCache is a query\n\
-             root certified write-free: following self-rooted calls, the analysis\n\
-             flags any reachable `&mut self` method, mutating self.<field>\n\
-             operation, or interior-mutability op (borrow_mut/lock/store/fetch_*/\n\
-             compare_exchange).  The lock-free concurrent read path (ROADMAP item\n\
-             2) assumes single-writer/snapshot-reader queries.",
-            "`// lint:allow(read-path-purity): <reason>` on the offending line, on\n\
-             the offending helper's signature, or on the query root's signature.",
-        ),
-    ];
-    match rule.and_then(|r| RULES.iter().find(|(n, _, _)| *n == r)) {
-        Some((name, contract, suppress)) => {
-            println!("rule: {name}\n\ncontract:\n{contract}\n\nsuppression:\n{suppress}");
-            ExitCode::SUCCESS
-        }
-        None => {
-            if let Some(r) = rule {
-                eprintln!("unknown rule `{r}`");
-            }
-            eprintln!(
-                "usage: cargo xtask check --explain <rule>\nrules: {}",
-                RULES
-                    .iter()
-                    .map(|(n, _, _)| *n)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            if rule.is_some() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-    }
-}
-
-struct SemanticMode {
-    enabled: bool,
-    json: bool,
-    update_baseline: bool,
-}
-
-impl SemanticMode {
-    fn off() -> Self {
-        SemanticMode {
-            enabled: false,
-            json: false,
-            update_baseline: false,
-        }
-    }
-}
-
-fn run(do_lint: bool, do_invariants: bool, sem: SemanticMode) -> ExitCode {
+fn run(do_lint: bool, do_invariants: bool) -> ExitCode {
     let mut failed = false;
 
     if do_lint {
@@ -240,82 +92,9 @@ fn run(do_lint: bool, do_invariants: bool, sem: SemanticMode) -> ExitCode {
         }
     }
 
-    if sem.enabled && !run_semantic(&sem) {
-        failed = true;
-    }
-
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Run the semantic tier; returns `true` on a passing gate.
-fn run_semantic(sem: &SemanticMode) -> bool {
-    let root = workspace_root();
-    // Wall clock is legal here (see WALL_CLOCK_EXEMPT): this measures
-    // the checker's own CI budget, not protocol time.
-    let t0 = Instant::now();
-    let files = semantic::load_workspace_files(&root);
-    let baseline_path = root.join("crates/xtask/semantic-baseline.txt");
-    let baseline = std::fs::read_to_string(&baseline_path).ok();
-    let report = semantic::analyze(&files, baseline.as_deref());
-    let elapsed_ms = t0.elapsed().as_millis();
-
-    if sem.update_baseline {
-        let text = report.baseline_text();
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("semantic: cannot write {}: {e}", baseline_path.display());
-            return false;
-        }
-        println!(
-            "semantic: baseline updated ({} finding(s) recorded, {} stale entr{} dropped)",
-            report.findings.len(),
-            report.stale.len(),
-            if report.stale.len() == 1 { "y" } else { "ies" }
-        );
-        return true;
-    }
-
-    let gate = report.gate_failures(elapsed_ms, SEMANTIC_BUDGET_MS);
-
-    if sem.json {
-        println!("{}", report.to_json(elapsed_ms));
-    } else {
-        println!(
-            "semantic: {} files, {} fns, {} call sites — {:.1}% classified ({} workspace, {} external, {} unresolved) in {elapsed_ms}ms",
-            report.files_scanned,
-            report.fn_count,
-            report.stats.total,
-            report.stats.classified_pct(),
-            report.stats.workspace,
-            report.stats.external,
-            report.stats.unresolved,
-        );
-        let new: Vec<_> = report.new_findings().collect();
-        println!(
-            "semantic: {} finding(s) — {} baselined, {} new",
-            report.findings.len(),
-            report.findings.len() - new.len(),
-            new.len()
-        );
-        for f in &new {
-            println!("  NEW {}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-        }
-        for k in &report.stale {
-            println!("  stale baseline entry (fixed? run --update-baseline): {k}");
-        }
-    }
-    if gate.is_empty() {
-        if !sem.json {
-            println!("semantic: OK");
-        }
-        true
-    } else {
-        for g in &gate {
-            eprintln!("semantic: FAIL: {g}");
-        }
-        false
     }
 }

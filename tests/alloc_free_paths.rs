@@ -1,8 +1,10 @@
 //! Allocation gates for the paths that must stay off the heap at scale:
-//! a steady-state refresh through the zero-copy admit path, the reader
-//! query mix on a published snapshot, and — as a count that a noisy
-//! host cannot blur — a snapshot publish whose cost must follow the
-//! rows that changed, not the rows there are.
+//! a steady-state refresh — through the cache's zero-copy admit path,
+//! through the borrowed decoder, and through the whole `on_packet`
+//! receive path — the idle timer paths, the reader query mix on a
+//! published snapshot, and — as a count that a noisy host cannot blur —
+//! a snapshot publish whose cost must follow the rows that changed, not
+//! the rows there are.
 //!
 //! One counting `#[global_allocator]` shim tallies allocation events
 //! per thread, so the gates see only the calls they bracket — not the
@@ -16,8 +18,9 @@ use std::net::Ipv4Addr;
 use sdalloc_core::{AddrSpace, InformedRandomAllocator};
 use sdalloc_runtime::{SnapshotCadence, SnapshotPublisher};
 use sdalloc_sap::cache::AnnouncementCache;
-use sdalloc_sap::directory::{DirectoryConfig, SessionDirectory};
+use sdalloc_sap::directory::{DirectoryConfig, SessionDirectory, TimerKind};
 use sdalloc_sap::sdp::{DescRef, Media, Origin, SessionDescription};
+use sdalloc_sap::wire::{msg_id_hash, SapFrame, SapPacket};
 use sdalloc_sim::{SimDuration, SimRng, SimTime};
 
 struct CountingAlloc;
@@ -36,7 +39,10 @@ fn count_event() {
 // but a counting allocator cannot be written without implementing the
 // unsafe `GlobalAlloc` trait — the exemption is scoped to this
 // test-only shim and adds no unsafe of its own.
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; see the SAFETY note above"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_event();
@@ -103,11 +109,7 @@ fn shim_counts_this_threads_allocations() {
 fn steady_state_refresh_does_not_allocate() {
     // A refresh of an unchanged session must not allocate: the record
     // already owns its interned strings and the expiry slot is re-filed
-    // lazily.  A handful of events are tolerated (allocator-internal
-    // bookkeeping, an amortised heap regrow) — far below the
-    // one-per-op a cloning path would cost.
-    const REFRESHES: usize = 4096;
-    const SLACK: u64 = 64;
+    // lazily.
     let space = space();
     let mut cache = AnnouncementCache::new(SimDuration::from_secs(3600));
     for i in 0..SESSIONS {
@@ -133,6 +135,124 @@ fn steady_state_refresh_does_not_allocate() {
         events <= SLACK,
         "{events} allocation events across {REFRESHES} steady-state refreshes \
          (slack {SLACK}) — the zero-copy refresh path is allocating"
+    );
+}
+
+/// Steady-state refreshes counted by the receive-path gates below.
+const REFRESHES: usize = 4096;
+
+/// Amortised regrowth of a long-lived buffer, allocator bookkeeping:
+/// far below the one-per-packet a new allocation on the path would cost.
+const SLACK: u64 = 64;
+
+/// A directory caching [`SESSIONS`] remote sessions.
+fn loaded_directory() -> SessionDirectory {
+    let space = space();
+    let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
+    cfg.space = space;
+    cfg.staleness_factor = Some(3);
+    let mut dir = SessionDirectory::new(cfg, Box::new(InformedRandomAllocator));
+    for i in 0..SESSIONS {
+        dir.cache_observe_for_test(SimTime::from_secs(1), session(i, &space));
+    }
+    dir
+}
+
+/// Encoded refresh announcements for a random sample of the sessions
+/// [`loaded_directory`] holds.
+fn refresh_datagrams() -> Vec<Vec<u8>> {
+    let space = space();
+    let mut rng = SimRng::new(31);
+    (0..REFRESHES)
+        .map(|_| {
+            let desc = session(rng.index(SESSIONS), &space);
+            let payload = desc.format();
+            SapPacket::announce(desc.origin.address, msg_id_hash(&payload), payload)
+                .encode()
+                .to_vec()
+        })
+        .collect()
+}
+
+#[test]
+fn borrowed_decode_allocates_only_the_media_list() {
+    // `SapFrame::decode` borrows the datagram and `DescRef::parse`
+    // borrows the frame: the only allocation per packet is the list of
+    // `m=` refs, one event for the fixture's single stream.
+    let datagrams = refresh_datagrams();
+    let before = alloc_events();
+    for d in &datagrams {
+        black_box(SapFrame::decode(d).expect("well-formed datagram"));
+    }
+    assert_eq!(alloc_events() - before, 0, "SapFrame::decode allocated");
+    let before = alloc_events();
+    for d in &datagrams {
+        let frame = SapFrame::decode(d).expect("well-formed datagram");
+        black_box(DescRef::parse(frame.payload).expect("well-formed payload"));
+    }
+    assert_eq!(
+        alloc_events() - before,
+        REFRESHES as u64,
+        "DescRef::parse must allocate its media list and nothing else"
+    );
+}
+
+#[test]
+fn refresh_through_on_packet_allocates_a_fixed_handful() {
+    // What one refresh costs end to end today: the owned payload in
+    // `SapPacket::decode`, the media list in `DescRef::parse`, and the
+    // one-element event list `on_packet` returns.  The cache refresh in
+    // the middle adds nothing.
+    const PER_PACKET: u64 = 3;
+    let mut dir = loaded_directory();
+    let datagrams = refresh_datagrams();
+    let mut rng = SimRng::new(37);
+    let mut refresh_all = |now| {
+        for d in &datagrams {
+            let pkt = SapPacket::decode(d).expect("well-formed datagram");
+            black_box(dir.on_packet(now, &pkt, &mut rng));
+        }
+    };
+    // Warm-up: grows the change journal to its bound.
+    for round in 0..3 {
+        refresh_all(SimTime::from_secs(2 + round));
+    }
+    let before = alloc_events();
+    refresh_all(SimTime::from_secs(5));
+    let events = alloc_events() - before;
+    assert!(
+        events <= PER_PACKET * REFRESHES as u64 + SLACK,
+        "{events} allocation events across {REFRESHES} refreshes through on_packet \
+         ({PER_PACKET} per packet expected, slack {SLACK})"
+    );
+}
+
+#[test]
+fn idle_timer_paths_do_not_allocate() {
+    // A wake with nothing to do — the deadline query, a poll before any
+    // deadline, an early cache-expiry fire (hard and staleness purges
+    // both run and find nothing) — must cost no allocation.
+    const PASSES: usize = 1024;
+    let mut dir = loaded_directory();
+    let now = SimTime::from_secs(2);
+    let pass = |dir: &mut SessionDirectory| {
+        let deadline = dir
+            .next_deadline()
+            .expect("the cache-expiry timer is armed");
+        assert!(deadline > now);
+        assert!(dir.poll(now).is_empty());
+        assert!(dir.on_timer(now, TimerKind::CacheExpiry).is_empty());
+    };
+    pass(&mut dir); // warm-up: sizes the timer heap and the drain scratch
+    let before = alloc_events();
+    for _ in 0..PASSES {
+        pass(&mut dir);
+    }
+    let events = alloc_events() - before;
+    assert_eq!(dir.cached_sessions(), SESSIONS, "nothing was due");
+    assert_eq!(
+        events, 0,
+        "{events} allocation events across {PASSES} idle wakes"
     );
 }
 
@@ -199,15 +319,9 @@ fn replay_publish_costs_what_changed_not_what_is_cached() {
 fn reader_queries_on_a_loaded_snapshot_do_not_allocate() {
     const PASSES: usize = 2048;
     let space = space();
-    let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
-    cfg.space = space;
-    let mut dir = SessionDirectory::new(cfg, Box::new(InformedRandomAllocator));
-    let now = SimTime::from_secs(1);
-    for i in 0..SESSIONS {
-        dir.cache_observe_for_test(now, session(i, &space));
-    }
+    let dir = loaded_directory();
     let mut publisher = SnapshotPublisher::new(SnapshotCadence::default());
-    publisher.publish(now, &dir);
+    publisher.publish(SimTime::from_secs(1), &dir);
     let mut reader = publisher.handle().reader();
     let mut rng = SimRng::new(47);
 

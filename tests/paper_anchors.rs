@@ -94,7 +94,7 @@ fn figure_6_anchor_67_percent_at_10000() {
 #[test]
 fn section_3_1_exponential_limit_1_442698() {
     // "the limit in this case is a mean of 1.442698 responses".
-    #[allow(clippy::approx_constant)] // the paper's quoted digits
+    #[allow(clippy::approx_constant, reason = "the paper's quoted digits")]
     const PAPER_LIMIT: f64 = 1.442695;
     assert!((EXPONENTIAL_FLOOR - PAPER_LIMIT).abs() < 1e-5);
     let e = expected_responses_exponential(1_000_000, 500);

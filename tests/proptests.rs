@@ -588,7 +588,7 @@ proptest! {
             for (_, entry) in cache.iter() {
                 let d = entry.desc();
                 let (bucket, hash) = AnnouncementCache::desc_digest(&d);
-                fresh[AnnouncementCache::ttl_band(d.ttl)][bucket] ^= hash;
+                *bucket.slot(&mut fresh[AnnouncementCache::ttl_band(d.ttl).index()]) ^= hash;
             }
             let mut folded = [0u64; DIGEST_BUCKETS];
             for (band, acc) in fresh.iter().enumerate() {
