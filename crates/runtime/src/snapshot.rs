@@ -37,21 +37,9 @@ use std::sync::Arc;
 
 use crossbeam::epoch::{ArcSwap, Guard, Reader};
 use sdalloc_sap::cache::{AnnouncementCache, CacheKey, EntryRef};
+use sdalloc_sap::wire::{fnv1a_64, fnv1a_64_fold};
 use sdalloc_sap::SessionDirectory;
 use sdalloc_sim::{SimDuration, SimTime};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold bytes into a running FNV-1a state without materialising a
-/// buffer — the read-path verifier must not allocate.
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// One cached session, flattened out of the slab arena into a
 /// self-contained row.  The name is an `Arc<str>` shared with the
@@ -115,14 +103,15 @@ impl SessionRow {
         last_heard: SimTime,
         name: &str,
     ) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv_fold(h, &key.origin.octets());
-        h = fnv_fold(h, &key.session_id.to_le_bytes());
-        h = fnv_fold(h, &group.octets());
-        h = fnv_fold(h, &[ttl]);
-        h = fnv_fold(h, &version.to_le_bytes());
-        h = fnv_fold(h, &last_heard.as_nanos().to_le_bytes());
-        fnv_fold(h, name.as_bytes())
+        // Folded field by field, never through a buffer: the read-path
+        // verifier must not allocate.
+        let mut h = fnv1a_64(&key.origin.octets());
+        h = fnv1a_64_fold(h, &key.session_id.to_le_bytes());
+        h = fnv1a_64_fold(h, &group.octets());
+        h = fnv1a_64_fold(h, &[ttl]);
+        h = fnv1a_64_fold(h, &version.to_le_bytes());
+        h = fnv1a_64_fold(h, &last_heard.as_nanos().to_le_bytes());
+        fnv1a_64_fold(h, name.as_bytes())
     }
 
     /// Recompute the checksum and compare.  `false` means the reader is

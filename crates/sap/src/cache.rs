@@ -27,17 +27,13 @@
 //! entry, and the allocator view was rebuilt by scanning the table.
 //! Incrementally-maintained indices remove those scans:
 //!
-//! * **expiry heaps, sharded by TTL band** — one min-heap per
-//!   [`Self::ttl_band`] partition, ordered by `last_heard` (with a
+//! * **expiry heap** — one min-heap ordered by `last_heard` (with a
 //!   fixed timeout, `last_heard` order *is* expiry order).  Entries
 //!   are inserted once when first heard; a refresh just bumps the
 //!   record's `last_heard`, and the stale heap slot is lazily re-filed
-//!   when it surfaces — into the band the record *currently* belongs
-//!   to, so a TTL move re-homes the slot.  Announce churn in one band
-//!   never touches another band's heap.  [`Self::purge_expired`]
-//!   therefore costs O(expired · log band), not O(n), and
-//!   [`Self::earliest_last_heard`] exposes the next expiry deadline
-//!   for wake-on-deadline callers.
+//!   when it surfaces.  [`Self::purge_expired`] therefore costs
+//!   O(expired · log n), not O(n), and [`Self::earliest_last_heard`]
+//!   exposes the next expiry deadline for wake-on-deadline callers.
 //! * **group index** — `group → sorted map of keys to ids`, so
 //!   [`Self::users_of`] (the clash probe, run on *every* received
 //!   announcement) is O(candidates) instead of O(cache), with each
@@ -54,11 +50,9 @@
 //! XOR-accumulated summaries: every entry hashes (group, key, version)
 //! through seeded FNV-1a into the bucket its *key* selects, and the
 //! bucket accumulator XORs the hash in on admit and out on removal.
-//! The accumulators are kept per TTL band ([`Self::shard_digest`]);
-//! XOR is commutative and self-inverse, so the global digest is the
-//! band-wise XOR and two caches holding the same entries produce
-//! byte-identical digests regardless of arrival order or band churn.
-//! [`Self::diff_buckets`] names the buckets where two caches disagree;
+//! XOR is commutative and self-inverse, so two caches holding the same
+//! entries produce byte-identical digests regardless of arrival order.
+//! [`differing_buckets`] names the buckets where two digests disagree;
 //! [`Self::keys_in_bucket`] enumerates the entries a peer must
 //! re-announce to close the gap.
 //!
@@ -105,10 +99,10 @@ pub const DIGEST_BUCKETS: usize = 16;
 /// under a different seed is incomparable and must be ignored.
 pub const DIGEST_SEED: u64 = 0x5d1c_4a11_0c8d_1697;
 
-/// Number of TTL partition bands the expiry heaps and digest
-/// accumulators are sharded across.  The boundaries mirror the paper's
-/// administrative-scope nesting (site ≤ 15, region ≤ 63, continent
-/// ≤ 127, world above).
+/// Benchmark-only: `benchmark/src/sut.rs` sizes the sharded queue of
+/// its `timer.*_ns` probe with this.  Nothing in the product is keyed
+/// by TTL band; it goes when that probe is re-pointed at
+/// `sdalloc_sim::TimerQueue` (ROADMAP item 3).
 pub const TTL_BANDS: usize = 4;
 
 /// Change-journal entries kept however small the table is, so a
@@ -116,26 +110,8 @@ pub const TTL_BANDS: usize = 4;
 const JOURNAL_FLOOR: usize = 1024;
 
 /// Dead expiry slots tolerated on top of one per live entry before the
-/// heaps are rebuilt, so a small cache does not rebuild on every
-/// removal.
+/// heap is rebuilt, so a small cache does not rebuild on every removal.
 const EXPIRY_SLACK: usize = 64;
-
-/// A TTL partition band: an index below [`TTL_BANDS`] by construction
-/// ([`AnnouncementCache::ttl_band`] is the only source), so whatever
-/// TTL arrives off the wire can only ever select one of the four
-/// shards of a band-sharded table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TtlBand(u8);
-
-impl TtlBand {
-    /// Every band, in index order.
-    pub const ALL: [TtlBand; TTL_BANDS] = [TtlBand(0), TtlBand(1), TtlBand(2), TtlBand(3)];
-
-    /// The band's index, in `0..TTL_BANDS`.
-    pub fn index(self) -> usize {
-        usize::from(self.0)
-    }
-}
 
 /// A reconciliation digest bucket: an index below [`DIGEST_BUCKETS`]
 /// by construction (hashed-and-masked from a key, or range-checked by
@@ -319,20 +295,6 @@ pub enum CacheUpdate {
     Stale,
 }
 
-/// One TTL-band shard: its expiry heap and digest accumulators.
-#[derive(Debug, Clone)]
-struct Band {
-    /// Min-heap of `(last_heard-at-push, key)`.  A slot whose pushed
-    /// `last_heard` no longer matches the record's is stale (the
-    /// record was refreshed) and is re-filed when it surfaces — into
-    /// the record's *current* band; a slot whose key is gone is
-    /// discarded.
-    expiry: BinaryHeap<Reverse<(SimTime, CacheKey)>>,
-    /// XOR-accumulated seeded FNV hashes over (group, key, version)
-    /// for the records currently homed in this band.
-    digests: [u64; DIGEST_BUCKETS],
-}
-
 /// The announcement cache.
 #[derive(Debug, Clone)]
 pub struct AnnouncementCache {
@@ -345,8 +307,14 @@ pub struct AnnouncementCache {
     ids: HashMap<CacheKey, SessionId>,
     /// Entries not refreshed within this span are purged.
     timeout: SimDuration,
-    /// Per-TTL-band expiry heaps and digest accumulators.
-    bands: [Band; TTL_BANDS],
+    /// Min-heap of `(last_heard-at-push, key)`.  A slot whose pushed
+    /// `last_heard` no longer matches the record's is stale (the
+    /// record was refreshed) and is re-filed when it surfaces; a slot
+    /// whose key is gone is discarded.
+    expiry: BinaryHeap<Reverse<(SimTime, CacheKey)>>,
+    /// XOR-accumulated seeded FNV hashes over (group, key, version) of
+    /// every cached record, one accumulator per bucket.
+    digests: [u64; DIGEST_BUCKETS],
     /// `group → keys (sorted) → ids` — the clash-detection probe.
     by_group: HashMap<Ipv4Addr, BTreeMap<CacheKey, SessionId>>,
     /// `(group, ttl) → entry count`, sorted by group then TTL — the
@@ -392,10 +360,8 @@ impl AnnouncementCache {
             strings: Interner::new(),
             ids: HashMap::new(),
             timeout,
-            bands: std::array::from_fn(|_| Band {
-                expiry: BinaryHeap::new(),
-                digests: [0; DIGEST_BUCKETS],
-            }),
+            expiry: BinaryHeap::new(),
+            digests: [0; DIGEST_BUCKETS],
             by_group: HashMap::new(),
             visible: BTreeMap::new(),
             origin_keys: HashMap::new(),
@@ -442,33 +408,6 @@ impl AnnouncementCache {
         let behind = self.change_seq.checked_sub(seq)?;
         let skip = (self.journal.len() as u64).checked_sub(behind)?;
         Some(self.journal.range(skip as usize..).copied())
-    }
-
-    /// The TTL partition band a scope falls in: site (≤ 15), region
-    /// (≤ 63), continent (≤ 127), world.  Shard selector for the
-    /// expiry heaps, the digest accumulators and the directory's
-    /// sharded timer queue.
-    pub fn ttl_band(ttl: u8) -> TtlBand {
-        TtlBand(match ttl {
-            0..=15 => 0,
-            16..=63 => 1,
-            64..=127 => 2,
-            _ => 3,
-        })
-    }
-
-    /// The shard for `band`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a TtlBand is below TTL_BANDS, the array length, by construction"
-    )]
-    fn band_mut(&mut self, band: TtlBand) -> &mut Band {
-        &mut self.bands[band.index()]
-    }
-
-    /// The digest accumulator of `bucket` in `band`'s shard.
-    fn digest_slot(&mut self, band: TtlBand, bucket: DigestBucket) -> &mut u64 {
-        bucket.slot(&mut self.band_mut(band).digests)
     }
 
     /// The digest bucket `key` hashes into (key only, so version and
@@ -584,11 +523,9 @@ impl AnnouncementCache {
                 };
                 let id = self.arena.insert(rec);
                 self.ids.insert(key, id);
-                let band = Self::ttl_band(d.ttl);
-                self.band_mut(band).expiry.push(Reverse((now, key)));
+                self.expiry.push(Reverse((now, key)));
                 self.index_insert(key, id, d.group, d.ttl);
-                let bucket = Self::bucket_of(&key);
-                *self.digest_slot(band, bucket) ^= hash;
+                *Self::bucket_of(&key).slot(&mut self.digests) ^= hash;
                 self.origin_keys
                     .entry(key.origin)
                     .or_default()
@@ -650,28 +587,19 @@ impl AnnouncementCache {
                 let became_verified = rec.announcements == 2;
                 let first_heard = rec.first_heard;
                 // The refresh only bumps `last_heard`; the stale expiry
-                // slot is lazily re-filed (into the record's current
-                // band) when it surfaces.
+                // slot is lazily re-filed when it surfaces.
                 if (old_group, old_ttl) != (d.group, d.ttl) {
                     self.index_remove(key, old_group, old_ttl);
                     self.index_insert(key, id, d.group, d.ttl);
                 }
                 // The digest hash covers (key, group, version), so a
-                // pure refresh — same band, same group, same version,
-                // the overwhelmingly common case — provably cancels to
-                // a no-op XOR; skip computing the hashes entirely.
-                let (old_band, new_band) = (Self::ttl_band(old_ttl), Self::ttl_band(d.ttl));
-                if old_band != new_band {
+                // pure refresh — same group, same version, the
+                // overwhelmingly common case — provably cancels to a
+                // no-op XOR; skip computing the hashes entirely.
+                if (old_group, old_version) != (d.group, d.origin.version) {
                     let old_hash = Self::hash_parts(&key, old_group, old_version);
                     let new_hash = Self::hash_parts(&key, d.group, d.origin.version);
-                    let bucket = Self::bucket_of(&key);
-                    *self.digest_slot(old_band, bucket) ^= old_hash;
-                    *self.digest_slot(new_band, bucket) ^= new_hash;
-                } else if (old_group, old_version) != (d.group, d.origin.version) {
-                    let old_hash = Self::hash_parts(&key, old_group, old_version);
-                    let new_hash = Self::hash_parts(&key, d.group, d.origin.version);
-                    let bucket = Self::bucket_of(&key);
-                    *self.digest_slot(old_band, bucket) ^= old_hash ^ new_hash;
+                    *Self::bucket_of(&key).slot(&mut self.digests) ^= old_hash ^ new_hash;
                 }
                 if became_verified {
                     self.unverified.remove(&(first_heard, key));
@@ -693,9 +621,8 @@ impl AnnouncementCache {
     /// eviction) funnels here so the accumulators stay exact.
     fn forget_record(&mut self, key: CacheKey, rec: &SessionRecord) {
         self.note_change(key);
-        let band = Self::ttl_band(rec.ttl);
-        let bucket = Self::bucket_of(&key);
-        *self.digest_slot(band, bucket) ^= Self::hash_parts(&key, rec.group, rec.version);
+        *Self::bucket_of(&key).slot(&mut self.digests) ^=
+            Self::hash_parts(&key, rec.group, rec.version);
         if let Some(ids) = self.origin_keys.get_mut(&key.origin) {
             ids.remove(&key.session_id);
             if ids.is_empty() {
@@ -713,22 +640,17 @@ impl AnnouncementCache {
     /// A removal leaves the entry's expiry slot behind, to be dropped
     /// when it surfaces — which, under older live entries, can be a
     /// whole purge horizon away, so a flood of admit-then-evict would
-    /// grow the heaps with the traffic rather than the table.  Once
-    /// dead slots outnumber live entries, rebuild the heaps from the
+    /// grow the heap with the traffic rather than the table.  Once
+    /// dead slots outnumber live entries, rebuild the heap from the
     /// records: O(live), amortised over at least as many removals.
     fn compact_expiry(&mut self) {
-        if self.expiry_slots() <= 2 * self.ids.len() + EXPIRY_SLACK {
+        if self.expiry.len() <= 2 * self.ids.len() + EXPIRY_SLACK {
             return;
         }
-        for band in &mut self.bands {
-            band.expiry.clear();
-        }
+        self.expiry.clear();
         for (&key, &id) in &self.ids {
-            let Some(rec) = self.arena.get(id) else {
-                continue;
-            };
-            if let Some(band) = self.bands.get_mut(Self::ttl_band(rec.ttl).index()) {
-                band.expiry.push(Reverse((rec.last_heard, key)));
+            if let Some(rec) = self.arena.get(id) {
+                self.expiry.push(Reverse((rec.last_heard, key)));
             }
         }
     }
@@ -771,79 +693,40 @@ impl AnnouncementCache {
         self.observe_delete(key.origin, key.session_id)
     }
 
-    /// Top (oldest) expiry slot of `band`, if any.
-    fn band_top(&self, band: TtlBand) -> Option<(SimTime, CacheKey)> {
-        let shard = self.bands.get(band.index())?;
-        shard.expiry.peek().map(|&Reverse(top)| top)
-    }
-
     /// Pop every entry whose `last_heard` is more than `horizon` before
     /// `now` into `self.scratch`, maintaining all indices.  Shared core
     /// of [`Self::purge_expired`] and [`Self::purge_stale`]; both orders
     /// agree because the horizon is constant within one call.
-    ///
-    /// Due slots are batch-drained band by band; a slot that surfaces
-    /// in the wrong band (the record's TTL moved) is re-homed and the
-    /// sweep repeats until no slot crossed bands, so a purge never
-    /// misses an expired record on account of a TTL move.
     fn purge_older_than(&mut self, now: SimTime, horizon: SimDuration) {
         self.scratch.clear();
-        loop {
-            let mut crossed = 0usize;
-            for band in TtlBand::ALL {
-                while let Some((pushed, key)) = self.band_top(band) {
-                    // The oldest possibly-dead slot is still within the
-                    // horizon: every live entry in this band is newer,
-                    // so the band is done.  (A stale slot is always
-                    // older than its record's true `last_heard`, so
-                    // this early-out never misses an expired entry.)
-                    if now.saturating_since(pushed) <= horizon {
-                        break;
-                    }
-                    self.band_mut(band).expiry.pop();
-                    let Some(&id) = self.ids.get(&key) else {
-                        continue; // deleted since the push: discard the slot
-                    };
-                    let Some(rec) = self.arena.get(id) else {
-                        continue;
-                    };
-                    let home = Self::ttl_band(rec.ttl);
-                    if home != band {
-                        // The record's TTL moved bands since the push:
-                        // re-home the slot under its current refresh
-                        // time and sweep again.
-                        let at = rec.last_heard;
-                        self.band_mut(home).expiry.push(Reverse((at, key)));
-                        crossed += 1;
-                        continue;
-                    }
-                    if rec.last_heard != pushed {
-                        // Refreshed since the push: re-file under the
-                        // current refresh time and keep looking.
-                        let at = rec.last_heard;
-                        self.band_mut(band).expiry.push(Reverse((at, key)));
-                        continue;
-                    }
-                    if now.saturating_since(rec.last_heard) > horizon {
-                        self.ids.remove(&key);
-                        if let Some(rec) = self.arena.remove(id) {
-                            self.index_remove(key, rec.group, rec.ttl);
-                            self.forget_record(key, &rec);
-                            self.release_record(rec);
-                        }
-                        self.scratch.push(key);
-                    } else {
-                        // Unreachable in practice (pushed == last_heard
-                        // and the horizon check above already passed),
-                        // kept for safety.
-                        self.band_mut(band).expiry.push(Reverse((pushed, key)));
-                        break;
-                    }
-                }
-            }
-            if crossed == 0 {
+        while let Some(&Reverse((pushed, key))) = self.expiry.peek() {
+            // The oldest possibly-dead slot is still within the horizon:
+            // every live entry is newer, so we are done.  (A stale slot
+            // is always older than its record's true `last_heard`, so
+            // this early-out never misses an expired entry.)
+            if now.saturating_since(pushed) <= horizon {
                 break;
             }
+            self.expiry.pop();
+            let Some(&id) = self.ids.get(&key) else {
+                continue; // deleted since the push: discard the slot
+            };
+            let Some(rec) = self.arena.get(id) else {
+                continue;
+            };
+            if rec.last_heard != pushed {
+                // Refreshed since the push: re-file under the current
+                // refresh time and keep looking.
+                self.expiry.push(Reverse((rec.last_heard, key)));
+                continue;
+            }
+            self.ids.remove(&key);
+            if let Some(rec) = self.arena.remove(id) {
+                self.index_remove(key, rec.group, rec.ttl);
+                self.forget_record(key, &rec);
+                self.release_record(rec);
+            }
+            self.scratch.push(key);
         }
         self.scratch.sort_unstable();
     }
@@ -876,41 +759,24 @@ impl AnnouncementCache {
     }
 
     /// The least-recently-refreshed entry and its `last_heard` — the
-    /// governor's stale eviction tier.  Lazily compacts each band's
-    /// stale heap slots until its top is exact, then takes the global
-    /// minimum by `(last_heard, key)` across bands.
+    /// governor's stale eviction tier.  Lazily compacts stale heap
+    /// slots until the top is exact: the global `(last_heard, key)`
+    /// minimum.
     pub fn oldest_entry(&mut self) -> Option<(CacheKey, SimTime)> {
-        for band in TtlBand::ALL {
-            while let Some((pushed, key)) = self.band_top(band) {
-                let Some(rec) = self.ids.get(&key).and_then(|&id| self.arena.get(id)) else {
-                    self.band_mut(band).expiry.pop();
-                    continue;
-                };
-                let home = Self::ttl_band(rec.ttl);
-                if home != band {
-                    // Re-home under the current refresh time.  The
-                    // moved slot is exact, so it cannot invalidate a
-                    // band top compacted earlier in this loop.
+        while let Some(&Reverse((pushed, key))) = self.expiry.peek() {
+            match self.ids.get(&key).and_then(|&id| self.arena.get(id)) {
+                Some(rec) if rec.last_heard == pushed => return Some((key, pushed)),
+                Some(rec) => {
                     let at = rec.last_heard;
-                    self.band_mut(band).expiry.pop();
-                    self.band_mut(home).expiry.push(Reverse((at, key)));
-                    continue;
+                    self.expiry.pop();
+                    self.expiry.push(Reverse((at, key)));
                 }
-                if rec.last_heard != pushed {
-                    let at = rec.last_heard;
-                    let shard = self.band_mut(band);
-                    shard.expiry.pop();
-                    shard.expiry.push(Reverse((at, key)));
-                    continue;
+                None => {
+                    self.expiry.pop();
                 }
-                break; // top is exact
             }
         }
-        self.bands
-            .iter()
-            .filter_map(|b| b.expiry.peek().map(|&Reverse(top)| top))
-            .min()
-            .map(|(at, key)| (key, at))
+        None
     }
 
     /// The oldest entry heard exactly once — the governor's
@@ -949,31 +815,9 @@ impl AnnouncementCache {
         self.origin_keys.get(&origin).map_or(0, BTreeSet::len)
     }
 
-    /// The current per-bucket digest accumulators: the band-wise XOR of
-    /// every shard's accumulators.
+    /// The current per-bucket digest accumulators.
     pub fn digest(&self) -> [u64; DIGEST_BUCKETS] {
-        let mut out = [0u64; DIGEST_BUCKETS];
-        for band in &self.bands {
-            for (acc, &d) in out.iter_mut().zip(band.digests.iter()) {
-                *acc ^= d;
-            }
-        }
-        out
-    }
-
-    /// One TTL-band shard's digest accumulators (zeros for an
-    /// out-of-range band).  The global [`Self::digest`] is the XOR of
-    /// all shards; the recycling proptests recompute each shard from
-    /// scratch and check consistency.
-    pub fn shard_digest(&self, band: usize) -> [u64; DIGEST_BUCKETS] {
-        self.bands
-            .get(band)
-            .map_or([0; DIGEST_BUCKETS], |b| b.digests)
-    }
-
-    /// Bucket indices where our digest differs from `theirs`, sorted.
-    pub fn diff_buckets(&self, theirs: &[u64; DIGEST_BUCKETS]) -> Vec<u16> {
-        differing_buckets(&self.digest(), theirs)
+        self.digests
     }
 
     /// Keys currently hashed into `bucket`, sorted — what a peer
@@ -1113,9 +957,10 @@ impl AnnouncementCache {
         })
     }
 
-    /// Total slots across the band expiry heaps, dead ones included.
+    /// Slots in the expiry heap, dead ones included.
+    #[cfg(test)]
     pub(crate) fn expiry_slots(&self) -> usize {
-        self.bands.iter().map(|b| b.expiry.len()).sum()
+        self.expiry.len()
     }
 }
 
@@ -1220,12 +1065,17 @@ mod tests {
     #[test]
     fn purge_returns_sorted_keys() {
         let mut c = AnnouncementCache::new(SimDuration::from_secs(10));
-        // Insert out of key order with distinct refresh times.
+        // Insert out of key order with distinct refresh times, and with
+        // TTLs of every scope interleaved against both orders.
         c.observe_announce(t(2), desc([10, 0, 0, 9], 3, 1, [224, 2, 128, 1], 63));
         c.observe_announce(t(0), desc([10, 0, 0, 1], 7, 1, [224, 2, 128, 2], 63));
         c.observe_announce(t(1), desc([10, 0, 0, 5], 1, 1, [224, 2, 128, 3], 63));
+        c.observe_announce(t(3), desc([10, 0, 0, 2], 4, 1, [224, 2, 128, 4], 255));
+        c.observe_announce(t(1), desc([10, 0, 0, 8], 5, 1, [224, 2, 128, 5], 15));
+        c.observe_announce(t(4), desc([10, 0, 0, 3], 6, 1, [224, 2, 128, 6], 127));
+        c.observe_announce(t(0), desc([10, 0, 0, 7], 2, 1, [224, 2, 128, 7], 63));
         let purged: Vec<CacheKey> = c.purge_expired(t(100)).to_vec();
-        assert_eq!(purged.len(), 3);
+        assert_eq!(purged.len(), 7);
         let mut sorted = purged.clone();
         sorted.sort();
         assert_eq!(purged, sorted);
@@ -1321,8 +1171,8 @@ mod tests {
 
     #[test]
     fn heap_stays_compact_under_refresh_churn() {
-        // Refreshing an entry must not grow the heaps: slots are only
-        // re-filed when they surface, so the heaps stay O(entries).
+        // Refreshing an entry must not grow the heap: slots are only
+        // re-filed when they surface, so the heap stays O(entries).
         let mut c = AnnouncementCache::new(SimDuration::from_secs(1000));
         for k in 0..50u64 {
             c.observe_announce(t(0), desc([10, 0, 0, 1], k, 1, [224, 2, 128, k as u8], 63));
@@ -1336,18 +1186,14 @@ mod tests {
             }
         }
         assert_eq!(c.len(), 50);
-        assert_eq!(
-            c.expiry_slots(),
-            50,
-            "refresh churn must not grow the heaps"
-        );
+        assert_eq!(c.expiry_slots(), 50, "refresh churn must not grow the heap");
     }
 
     #[test]
     fn heap_stays_compact_under_admit_and_evict_churn() {
         // A removed entry's slot is dropped lazily when it surfaces —
         // but under older live entries it never does before the purge
-        // horizon.  A flood of admit-then-evict must not grow the heaps
+        // horizon.  A flood of admit-then-evict must not grow the heap
         // with the traffic.
         let mut c = AnnouncementCache::new(SimDuration::from_secs(3600));
         for k in 0..7u64 {
@@ -1359,7 +1205,7 @@ mod tests {
             assert!(c.observe_delete(Ipv4Addr::new(10, 0, 0, 2), k));
             assert!(c.expiry_slots() <= 2 * c.len() + EXPIRY_SLACK);
         }
-        // The rebuilt heaps still expire what is due, and only that.
+        // The rebuilt heap still expires what is due, and only that.
         c.observe_announce(t(2000), desc([10, 0, 0, 1], 0, 1, [224, 2, 128, 1], 63));
         assert_eq!(c.purge_expired(t(3602)).len(), 6);
         assert_eq!((c.len(), c.expiry_slots()), (1, 1));
@@ -1390,7 +1236,6 @@ mod tests {
             backward.observe_announce(t(6), d.clone()); // refresh: digest-neutral
         }
         assert_eq!(forward.digest(), backward.digest());
-        assert!(forward.diff_buckets(&backward.digest()).is_empty());
     }
 
     #[test]
@@ -1442,7 +1287,7 @@ mod tests {
         b.observe_announce(t(0), shared);
         let only_a = desc([10, 0, 0, 2], 2, 1, [224, 2, 128, 2], 63);
         a.observe_announce(t(0), only_a.clone());
-        let diff = a.diff_buckets(&b.digest());
+        let diff = differing_buckets(&a.digest(), &b.digest());
         assert_eq!(
             diff.len(),
             1,
@@ -1522,7 +1367,6 @@ mod tests {
         never.observe_announce(t(2), desc([10, 0, 0, 1], 2, 1, [224, 2, 128, 2], 63));
         never.observe_announce(t(9), desc([10, 0, 0, 2], 0, 1, [224, 2, 129, 0], 63));
         assert_eq!(c.digest(), never.digest());
-        assert_eq!(c.shard_digest(3), never.shard_digest(3));
     }
 
     #[test]
@@ -1535,35 +1379,45 @@ mod tests {
         assert_eq!(at, t(1));
         assert_eq!(key.session_id, 2);
         assert_eq!(c.earliest_last_heard(), Some(t(1)));
+        // One entry per TTL scope, `last_heard` interleaved against TTL
+        // order: the answer is the global `(last_heard, key)` minimum
+        // whatever the scope, and tracks refreshes of the minimum.
+        let mixed = [(4, 15, 9), (5, 63, 0), (6, 127, 7), (7, 255, 0)];
+        for (sid, ttl, at) in mixed {
+            c.observe_announce(t(at), desc([10, 0, 0, 3], sid, 1, [224, 2, 129, ttl], ttl));
+        }
+        let oldest = |c: &mut AnnouncementCache| c.oldest_entry().map(|(k, at)| (k.session_id, at));
+        assert_eq!(oldest(&mut c), Some((5, t(0))), "tie at t(0) broken by key");
+        c.observe_announce(t(8), desc([10, 0, 0, 3], 5, 1, [224, 2, 129, 63], 63));
+        assert_eq!(oldest(&mut c), Some((7, t(0))));
+        assert!(c.evict(CacheKey {
+            origin: Ipv4Addr::new(10, 0, 0, 3),
+            session_id: 7
+        }));
+        assert_eq!(oldest(&mut c), Some((2, t(1))));
     }
 
     #[test]
-    fn ttl_move_rehomes_expiry_slot_and_digest_shard() {
+    fn ttl_move_keeps_digest_and_expiry_exact() {
         let mut c = AnnouncementCache::new(SimDuration::from_secs(100));
-        let d1 = desc([10, 0, 0, 1], 1, 1, [224, 2, 128, 1], 15); // band 0
+        let d1 = desc([10, 0, 0, 1], 1, 1, [224, 2, 128, 1], 15);
         c.observe_announce(t(0), d1.clone());
-        assert_ne!(c.shard_digest(0), [0; DIGEST_BUCKETS]);
-        assert_eq!(c.shard_digest(3), [0; DIGEST_BUCKETS]);
-        // TTL moves to world scope: the digest contribution crosses
-        // shards; the global digest tracks the new (group, version).
+        // TTL moves from site to world scope with a version bump: the
+        // digest tracks the new (group, version) and nothing else.
         let mut d2 = d1.clone();
         d2.origin.version = 2;
-        d2.ttl = 255; // band 3
+        d2.ttl = 255;
         c.observe_announce(t(10), d2.clone());
-        assert_eq!(c.shard_digest(0), [0; DIGEST_BUCKETS]);
-        assert_ne!(c.shard_digest(3), [0; DIGEST_BUCKETS]);
         let mut fresh = AnnouncementCache::new(SimDuration::from_secs(100));
         fresh.observe_announce(t(10), d2);
         assert_eq!(c.digest(), fresh.digest());
-        // The stale band-0 heap slot re-homes lazily; expiry still
-        // fires from the record's true refresh time.
+        // Expiry fires from the record's true refresh time.
         assert_eq!(c.earliest_last_heard(), Some(t(10)));
         assert!(c.purge_expired(t(105)).is_empty());
         let purged: Vec<CacheKey> = c.purge_expired(t(111)).to_vec();
         assert_eq!(purged.len(), 1);
         assert!(c.is_empty());
         assert_eq!(c.digest(), [0; DIGEST_BUCKETS]);
-        assert_eq!(c.shard_digest(3), [0; DIGEST_BUCKETS]);
     }
 
     #[test]

@@ -28,12 +28,12 @@ use sdalloc_core::{
     Addr, AddrSpace, Allocator, ClashAction, ClashPolicy, ClashResponder, Incumbent, SessionId,
     View, VisibleSession,
 };
-use sdalloc_sim::{ShardToken, ShardedTimerQueue, SimDuration, SimRng, SimTime};
+use sdalloc_sim::{SimDuration, SimRng, SimTime, TimerQueue, TimerToken};
 use sdalloc_telemetry::{CounterId, GaugeId, Severity, Telemetry, NO_ARG};
 
 use crate::cache::{
     differing_buckets, AnnouncementCache, CacheKey, CacheUpdate, DigestBucket, DIGEST_BUCKETS,
-    DIGEST_SEED, TTL_BANDS,
+    DIGEST_SEED,
 };
 use crate::schedule::BackoffSchedule;
 use crate::sdp::{DescRef, Media, Origin, SessionDescription};
@@ -375,11 +375,6 @@ struct TokenBucket {
 #[derive(Debug, Clone, Copy)]
 struct HostMintedId(u64);
 
-/// The timer shard holding the single-instance control timers (cache
-/// expiry, clash defence, reconciliation).  Shards `0..TTL_BANDS` hold
-/// the announce timers of sessions in the matching TTL partition band.
-const CONTROL_SHARD: usize = TTL_BANDS;
-
 /// The session directory engine.
 pub struct SessionDirectory {
     cfg: DirectoryConfig,
@@ -396,27 +391,25 @@ pub struct SessionDirectory {
     /// [`Self::take_events`] or appended to the next `on_packet`
     /// result.
     pending_events: Vec<DirectoryEvent>,
-    /// Every deadline the directory owns, sharded by TTL partition
-    /// band: announce timers for a session live in the shard of its
-    /// TTL band (so churn in one band never reshuffles another band's
-    /// heap), and the single-instance control timers (cache expiry,
-    /// clash defence, reconciliation) live in [`CONTROL_SHARD`].  The
-    /// global token sequence preserves exact single-queue fire order.
-    timers: ShardedTimerQueue<TimerKind>,
+    /// Every deadline the directory owns: one announce timer per own
+    /// session plus the single-instance control timers (cache expiry,
+    /// clash defence, reconciliation).  Fires in deadline order, FIFO
+    /// among equals.
+    timers: TimerQueue<TimerKind>,
     /// Live announce-timer token per own session (cancelled on
     /// withdraw).
-    announce_timers: BTreeMap<u64, ShardToken>,
+    announce_timers: BTreeMap<u64, TimerToken>,
     /// The single outstanding cache-expiry timer, with the deadline it
     /// was armed for.  Armed deadlines are never later than required
     /// (the earliest `last_heard` can only move forward), so the timer
     /// is left alone until it fires and re-arms.
-    cache_timer: Option<(ShardToken, SimTime)>,
+    cache_timer: Option<(TimerToken, SimTime)>,
     /// The single outstanding clash-defence timer, with its deadline.
     /// Re-armed earlier when a new clash undercuts it.
-    defence_timer: Option<(ShardToken, SimTime)>,
+    defence_timer: Option<(TimerToken, SimTime)>,
     /// The single outstanding periodic-digest timer, with its deadline
     /// (only armed when reconciliation is configured).
-    recon_timer: Option<(ShardToken, SimTime)>,
+    recon_timer: Option<(TimerToken, SimTime)>,
     /// Scratch buffer for [`Self::poll`]'s batch drain; kept across
     /// calls so a steady-state poll allocates nothing.
     due_scratch: Vec<(SimTime, TimerKind)>,
@@ -457,7 +450,7 @@ impl SessionDirectory {
             responder,
             next_session_id: 1,
             pending_events: Vec::new(),
-            timers: ShardedTimerQueue::new(TTL_BANDS + 1),
+            timers: TimerQueue::new(),
             announce_timers: BTreeMap::new(),
             cache_timer: None,
             defence_timer: None,
@@ -646,11 +639,7 @@ impl SessionDirectory {
                 next_send: now,
             },
         );
-        let token = self.timers.schedule(
-            AnnouncementCache::ttl_band(ttl).index(),
-            now,
-            TimerKind::Announce(session_id),
-        );
+        let token = self.timers.schedule(now, TimerKind::Announce(session_id));
         self.announce_timers.insert(session_id, token);
         Ok(session_id)
     }
@@ -691,9 +680,7 @@ impl SessionDirectory {
         }
         if let Some(oldest) = self.cache.earliest_last_heard() {
             let deadline = oldest + self.cache_horizon() + SimDuration::from_nanos(1);
-            let token = self
-                .timers
-                .schedule(CONTROL_SHARD, deadline, TimerKind::CacheExpiry);
+            let token = self.timers.schedule(deadline, TimerKind::CacheExpiry);
             self.cache_timer = Some((token, deadline));
         }
     }
@@ -712,9 +699,7 @@ impl SessionDirectory {
                 if let Some((token, _)) = current {
                     self.timers.cancel(token);
                 }
-                let token = self
-                    .timers
-                    .schedule(CONTROL_SHARD, deadline, TimerKind::Defence);
+                let token = self.timers.schedule(deadline, TimerKind::Defence);
                 self.defence_timer = Some((token, deadline));
             }
         }
@@ -737,9 +722,7 @@ impl SessionDirectory {
             rc.digest_interval
         };
         let deadline = now + interval;
-        let token = self
-            .timers
-            .schedule(CONTROL_SHARD, deadline, TimerKind::Reconcile);
+        let token = self.timers.schedule(deadline, TimerKind::Reconcile);
         self.recon_timer = Some((token, deadline));
     }
 
@@ -1066,9 +1049,6 @@ impl SessionDirectory {
                     next = now + interval;
                 }
                 s.next_send = next;
-                // A session's TTL is fixed at creation (moves change the
-                // group, never the scope), so its timer shard is stable.
-                let shard = AnnouncementCache::ttl_band(s.desc.ttl).index();
                 self.telemetry.inc(self.metrics.announce_sent);
                 self.telemetry.record(
                     now.as_nanos(),
@@ -1081,9 +1061,7 @@ impl SessionDirectory {
                         NO_ARG,
                     ],
                 );
-                let token = self
-                    .timers
-                    .schedule(shard, next, TimerKind::Announce(session_id));
+                let token = self.timers.schedule(next, TimerKind::Announce(session_id));
                 self.announce_timers.insert(session_id, token);
             }
             TimerKind::CacheExpiry => {
@@ -1190,8 +1168,7 @@ impl SessionDirectory {
 
     /// Advance time: emit due announcements, fire expired third-party
     /// defences, purge the cache.  Compat wrapper over the event API —
-    /// batch-drains every due timer in deadline order (one drain per
-    /// shard sweep instead of a pop-per-timer), looping in case a
+    /// batch-drains every due timer in deadline order, looping in case a
     /// handler re-arms something... though no handler schedules a
     /// deadline `<= now`, so the second sweep is empty in practice.
     pub fn poll(&mut self, now: SimTime) -> Vec<SapPacket> {
@@ -1257,18 +1234,10 @@ impl SessionDirectory {
         self.last_digest_sent = None;
         self.last_request_sent = None;
         self.gov_buckets.clear();
-        for s in self.own.values_mut() {
+        for (&id, s) in &mut self.own {
             s.sends = 0;
             s.next_send = now;
-            // (The map is keyed identically to `own`; rebuilt below.)
-        }
-        let ids: Vec<(u64, u8)> = self.own.iter().map(|(id, s)| (*id, s.desc.ttl)).collect();
-        for (id, ttl) in ids {
-            let token = self.timers.schedule(
-                AnnouncementCache::ttl_band(ttl).index(),
-                now,
-                TimerKind::Announce(id),
-            );
+            let token = self.timers.schedule(now, TimerKind::Announce(id));
             self.announce_timers.insert(id, token);
         }
         if self.cfg.reconcile.is_some() {
@@ -1280,9 +1249,7 @@ impl SessionDirectory {
             self.update_rebuild_fraction();
             // An immediate digest broadcast opens the exchange; the
             // periodic cadence resumes from here.
-            let token = self
-                .timers
-                .schedule(CONTROL_SHARD, now, TimerKind::Reconcile);
+            let token = self.timers.schedule(now, TimerKind::Reconcile);
             self.recon_timer = Some((token, now));
         }
     }
@@ -2444,6 +2411,35 @@ mod tests {
     }
 
     #[test]
+    fn restart_reannounces_mixed_ttl_sessions_in_creation_order_then_digest() {
+        // Every scope at one instant: equal deadlines fire in schedule
+        // order whatever the TTL, and the restart's digest comes last.
+        let mut d = recon_directory([10, 0, 0, 1]);
+        let mut rng = SimRng::new(51);
+        let ttls = [127u8, 15, 255, 63];
+        let ids: Vec<u64> = ttls
+            .iter()
+            .map(|&ttl| d.create_session(t(0), "s", ttl, media(), &mut rng).unwrap())
+            .collect();
+        d.poll(t(0));
+        d.restart(t(50));
+        let pkts = d.poll(t(50));
+        assert_eq!(pkts.len(), ids.len() + 1);
+        let (digest, announces) = pkts.split_last().unwrap();
+        let announced: Vec<(u64, u8)> = announces
+            .iter()
+            .map(|p| SessionDescription::parse(&p.payload).unwrap())
+            .map(|desc| (desc.origin.session_id, desc.ttl))
+            .collect();
+        let created: Vec<(u64, u8)> = ids.into_iter().zip(ttls).collect();
+        assert_eq!(announced, created);
+        assert!(matches!(
+            ReconMessage::parse(&digest.payload),
+            Some(ReconMessage::Digest(_))
+        ));
+    }
+
+    #[test]
     fn matching_digest_completes_rebuild_without_fetch() {
         // A peer whose digest already equals ours ends the rebuilding
         // phase immediately — nothing was lost, nothing to fetch.
@@ -2758,7 +2754,7 @@ mod hostile_input {
                 SapPacket::delete(source, msg_id_hash(&payload), payload)
             }
             4 => {
-                let mut cut = announce_of(&forged()).encode().to_vec();
+                let mut cut = announce_of(&forged()).encode();
                 cut.truncate(b as usize % (cut.len() + 1));
                 return cut;
             }
@@ -2782,7 +2778,7 @@ mod hostile_input {
             })),
             _ => SapPacket::announce(source, a as u16, text.to_string()),
         };
-        pkt.encode().to_vec()
+        pkt.encode()
     }
 
     fn announce_of(desc: &SessionDescription) -> SapPacket {

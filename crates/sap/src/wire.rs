@@ -26,7 +26,6 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sdalloc_sim::{FaultPlan, SimRng, SimTime};
 
 /// The SAP version this implementation speaks.
@@ -77,11 +76,12 @@ impl<'a> SapFrame<'a> {
     /// The payload-type marker is optional on the wire (early sdr
     /// omitted it); per the RFC's guidance we treat a payload starting
     /// with `v=` as bare SDP.
-    pub fn decode(mut data: &'a [u8]) -> Result<SapFrame<'a>, WireError> {
-        if data.len() < 8 {
+    pub fn decode(data: &'a [u8]) -> Result<SapFrame<'a>, WireError> {
+        let Some((&[b0, auth_words, id_hi, id_lo, s0, s1, s2, s3], data)) =
+            data.split_first_chunk::<8>()
+        else {
             return Err(WireError::Truncated);
-        }
-        let b0 = data.get_u8();
+        };
         let version = (b0 >> 5) & 0x07;
         if version != SAP_VERSION {
             return Err(WireError::BadVersion(version));
@@ -97,18 +97,14 @@ impl<'a> SapFrame<'a> {
         } else {
             MessageType::Announce
         };
-        let auth_words = data.get_u8() as usize;
-        let msg_id_hash = data.get_u16();
-        let mut src = [0u8; 4];
-        data.copy_to_slice(&mut src);
-        let source = Ipv4Addr::from(src);
-        let auth_len = auth_words * 4;
-        let auth = data.get(..auth_len).ok_or(WireError::BadAuthLength)?;
-        data.advance(auth_len);
+        let msg_id_hash = u16::from_be_bytes([id_hi, id_lo]);
+        let source = Ipv4Addr::new(s0, s1, s2, s3);
+        let (auth, rest) = data
+            .split_at_checked(usize::from(auth_words) * 4)
+            .ok_or(WireError::BadAuthLength)?;
 
         // Optional payload type: text up to a NUL, unless the payload
         // starts directly with SDP.
-        let rest = data;
         let payload_bytes = if rest.starts_with(b"v=") {
             rest
         } else if let Some(nul) = rest.iter().position(|&b| b == 0) {
@@ -214,8 +210,8 @@ impl SapPacket {
 
     /// Encode to wire bytes, including the `application/sdp` payload
     /// type marker.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(
             8 + self.auth.len() + PAYLOAD_TYPE_SDP.len() + 1 + self.payload.len(),
         );
         // Auth data must be padded to a multiple of 4 (length field is
@@ -230,18 +226,16 @@ impl SapPacket {
             b0 |= 0x04; // T bit
         }
         // E = 0, C = 0.
-        buf.put_u8(b0);
-        buf.put_u8(u8::try_from(auth_words).unwrap_or(u8::MAX));
-        buf.put_u16(self.msg_id_hash);
-        buf.put_slice(&self.source.octets());
-        buf.put_slice(auth);
-        for _ in auth.len()..auth_words * 4 {
-            buf.put_u8(0);
-        }
-        buf.put_slice(PAYLOAD_TYPE_SDP.as_bytes());
-        buf.put_u8(0);
-        buf.put_slice(self.payload.as_bytes());
-        buf.freeze()
+        buf.push(b0);
+        buf.push(u8::try_from(auth_words).unwrap_or(u8::MAX));
+        buf.extend_from_slice(&self.msg_id_hash.to_be_bytes());
+        buf.extend_from_slice(&self.source.octets());
+        buf.extend_from_slice(auth);
+        buf.resize(buf.len() + auth_words * 4 - auth.len(), 0);
+        buf.extend_from_slice(PAYLOAD_TYPE_SDP.as_bytes());
+        buf.push(0);
+        buf.extend_from_slice(self.payload.as_bytes());
+        buf
     }
 
     /// Decode from wire bytes into an owned packet.  Thin wrapper over
@@ -328,7 +322,7 @@ pub fn corrupt_in_flight(
 ) -> Option<SapPacket> {
     if let Some((p, mode)) = faults.corruption_at(now) {
         if rng.chance(p) {
-            let mut bytes = pkt.encode().to_vec();
+            let mut bytes = pkt.encode();
             mode.apply(&mut bytes, rng);
             return SapFrame::decode(&bytes).ok().map(|frame| frame.to_packet());
         }

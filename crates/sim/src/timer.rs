@@ -199,18 +199,21 @@ impl ShardToken {
     }
 }
 
-/// A [`TimerQueue`] split into independent shards (the directory keys
-/// them by TTL partition band) that still fires in one global
-/// deterministic order.
+/// A [`TimerQueue`] split into independent shards that still fires in
+/// one global deterministic order.
 ///
-/// Each shard owns its own heap, so churn in one band — a burst of
-/// announce reschedules for low-TTL sessions, say — never touches
-/// another band's heap.  Tokens are minted from a single queue-wide
-/// counter and threaded through [`TimerQueue::schedule_with_token`], so
-/// the cross-shard fire order at equal deadlines is exactly the FIFO
-/// order a single unsharded queue would produce: the determinism
-/// contract (deadline order, then schedule order) is preserved
-/// verbatim.
+/// Benchmark-only: no product code schedules on this — the directory
+/// holds a plain [`TimerQueue`] — but `benchmark/src/sut.rs` names it
+/// for its `timer.*_ns` probe.  It goes, with [`ShardToken`],
+/// `schedule_with_token` and `peek_live`, when that probe is re-pointed
+/// at [`TimerQueue`] (ROADMAP item 3).
+///
+/// Each shard owns its own heap.  Tokens are minted from a single
+/// queue-wide counter and threaded through
+/// [`TimerQueue::schedule_with_token`], so the cross-shard fire order at
+/// equal deadlines is exactly the FIFO order a single unsharded queue
+/// would produce: the determinism contract (deadline order, then
+/// schedule order) is preserved verbatim.
 pub struct ShardedTimerQueue<K> {
     shards: Vec<TimerQueue<K>>,
     next_token: u64,

@@ -37,7 +37,7 @@ grep -q '"stalled_readers": 0' results_full/runtime_soak_smoke.json \
 grep -q '"integrity_failures": 0' results_full/runtime_soak_smoke.json \
     || { echo "runtime_soak smoke recorded torn rows"; exit 1; }
 run cargo run -q -p sdalloc-bench --bin directory_scale -- --smoke
-run cargo test -q
+run cargo test -q --workspace
 # The benchmark is a workspace of its own and the authority on which
 # public calls are load-bearing (benchmark/src/sut.rs): build and test
 # it here so an API removal that breaks it fails locally.

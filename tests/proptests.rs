@@ -455,10 +455,9 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Session `i`'s description for the slab-recycling model: distinct
-/// origin per index, TTLs spread across all four partition bands so
-/// the per-shard digests all see traffic.
+/// origin per index, TTLs spread from site to world scope.
 fn slab_session(i: usize, version: u64) -> SessionDescription {
-    const BAND_TTLS: [u8; 4] = [8, 32, 100, 200];
+    const SCOPE_TTLS: [u8; 4] = [8, 32, 100, 200];
     SessionDescription {
         origin: Origin {
             username: "-".into(),
@@ -469,7 +468,7 @@ fn slab_session(i: usize, version: u64) -> SessionDescription {
         name: format!("slab{i}"),
         info: None,
         group: Ipv4Addr::new(224, 5, 0, (i % 200) as u8),
-        ttl: BAND_TTLS[i % BAND_TTLS.len()],
+        ttl: SCOPE_TTLS[i % SCOPE_TTLS.len()],
         start: 0,
         stop: 0,
         media: vec![Media {
@@ -489,14 +488,14 @@ proptest! {
     /// handle resolve: a [`sdalloc::sap::slab::SessionHandle`] minted
     /// during one residency goes dead the moment that record is
     /// removed, even when the dense id is immediately recycled for a
-    /// new admit.  Alongside, the per-shard reconciliation digests
-    /// stay XOR-consistent with a from-scratch recompute over the live
-    /// population after every operation.
+    /// new admit.  Alongside, the reconciliation digest equals a
+    /// from-scratch recompute over the live population after every
+    /// operation.
     #[test]
     fn slab_handles_never_alias_across_recycling(
         ops in proptest::collection::vec((0u8..6, 0usize..24, 1u64..40), 1..120),
     ) {
-        use sdalloc::sap::cache::{AnnouncementCache, CacheKey, DIGEST_BUCKETS, TTL_BANDS};
+        use sdalloc::sap::cache::{AnnouncementCache, CacheKey, DIGEST_BUCKETS};
         use sdalloc::sap::slab::SessionHandle;
         use std::collections::HashMap;
 
@@ -582,25 +581,14 @@ proptest! {
                 }
             }
 
-            // Per-shard digests match a from-scratch recompute over
-            // the live population.
-            let mut fresh = [[0u64; DIGEST_BUCKETS]; TTL_BANDS];
+            // The digest matches a from-scratch recompute over the
+            // live population.
+            let mut fresh = [0u64; DIGEST_BUCKETS];
             for (_, entry) in cache.iter() {
-                let d = entry.desc();
-                let (bucket, hash) = AnnouncementCache::desc_digest(&d);
-                *bucket.slot(&mut fresh[AnnouncementCache::ttl_band(d.ttl).index()]) ^= hash;
+                let (bucket, hash) = AnnouncementCache::desc_digest(&entry.desc());
+                *bucket.slot(&mut fresh) ^= hash;
             }
-            let mut folded = [0u64; DIGEST_BUCKETS];
-            for (band, acc) in fresh.iter().enumerate() {
-                prop_assert_eq!(
-                    &cache.shard_digest(band), acc,
-                    "shard {} digest diverges from recompute", band
-                );
-                for (b, h) in acc.iter().enumerate() {
-                    folded[b] ^= h;
-                }
-            }
-            prop_assert_eq!(cache.digest(), folded, "global digest is not the band XOR");
+            prop_assert_eq!(cache.digest(), fresh, "digest diverges from recompute");
         }
     }
 }
@@ -612,7 +600,7 @@ proptest! {
 /// Session `i` of the replay model as third parties announce it.  Eight
 /// groups for 24 sessions, so sessions share groups (a removal must not
 /// free a group its neighbour still uses); `moved` lands on a second
-/// set of groups and another TTL band.
+/// set of groups and another TTL scope.
 fn replay_session(i: usize, version: u64, renamed: bool, moved: bool) -> SessionDescription {
     let mut desc = slab_session(i, version);
     desc.group = Ipv4Addr::new(224, 6, u8::from(moved), (i % 8) as u8);
@@ -676,7 +664,7 @@ proptest! {
                 0..=2 => announce(&mut dir, &mut rng, now, replay_session(i, version[i], false, false)),
                 // Same version, different name.
                 3 => announce(&mut dir, &mut rng, now, replay_session(i, version[i], true, false)),
-                // New version on another group, in another TTL band.
+                // New version on another group, in another TTL scope.
                 4 => {
                     version[i] += 1;
                     let moved = version[i] % 2 == 0;
