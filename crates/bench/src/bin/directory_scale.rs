@@ -3,8 +3,8 @@
 //!
 //! Measures the three hot cache operations at directory scale — 10k,
 //! 100k and one **million** cached sessions — against the generational
-//! slab [`AnnouncementCache`] (contiguous arena, TTL-band sharded
-//! expiry heaps, interned strings).  Workloads:
+//! slab [`AnnouncementCache`] (contiguous arena, one expiry heap,
+//! interned strings).  Workloads:
 //!
 //! * **announce_churn** — steady-state refresh traffic with a purge
 //!   check per round (the directory's cache-expiry timer path).

@@ -26,7 +26,7 @@
 //! One scenario lives outside the deterministic matrix:
 //! **runtime_soak** ([`runtime_soak`]) re-runs the crash/restart story
 //! against the *threaded* production runtime — real agent threads on
-//! the loopback bus, reader threads on the lock-free snapshot path —
+//! the loopback bus, reader threads on the snapshot path —
 //! so its report is wall-clock timed and is written as a separate
 //! sidecar (`runtime_soak*.json`), never folded into the byte-stable
 //! matrix report.
@@ -849,12 +849,14 @@ pub fn run_full(seed: u64, smoke: bool) -> ChaosRun {
 
 /// The threaded-runtime counterpart of [`crash_restart`]: agent
 /// *threads* on the loopback bus, one of which crashes and restarts
-/// mid-run while reader threads hammer the lock-free snapshot path.
-/// Where the simulator scenarios prove the protocol recovers, this one
-/// proves the *runtime* does: no reader ever stalls on the crashed
-/// writer, no reader ever observes a torn or recycled row, and the
-/// restarted node's snapshot exposure window closes — the runtime-level
-/// mirror of [`crash_restart_recon`]'s reconciliation rebuild numbers.
+/// mid-run while reader threads hammer the snapshot path.  Where the
+/// simulator scenarios prove the protocol recovers, this one proves the
+/// *runtime* does: no reader ever stalls on the crashed writer nor the
+/// writer on a reader (each holds the cell for one pointer swap or one
+/// refcount increment), no reader ever observes a torn or recycled row,
+/// and the restarted node's snapshot exposure window closes — the
+/// runtime-level mirror of [`crash_restart_recon`]'s reconciliation
+/// rebuild numbers.
 ///
 /// Wall-clock timed by nature (real threads), so unlike the matrix its
 /// numbers vary run to run; the *invariants* (stalls, integrity,

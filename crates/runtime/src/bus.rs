@@ -221,8 +221,12 @@ impl SapTransport for BusEndpoint {
             }
             let Some(delivered) = corrupt_in_flight(pkt, &shared.faults, now, &mut rng) else {
                 // Dead before decode: account it at the receiver and
-                // wake it so the drop is processed promptly.
+                // wake it so the drop is processed promptly.  Counted
+                // under the queue lock, like a push, so a receiver
+                // between its check and its wait cannot miss it.
+                let queue = lock(&ep.queue);
                 ep.predecode_drops.fetch_add(1, Ordering::Relaxed);
+                drop(queue);
                 shared.dropped_corrupt.fetch_add(1, Ordering::Relaxed);
                 ep.ready.notify_one();
                 continue;
@@ -250,6 +254,11 @@ impl SapTransport for BusEndpoint {
         }
         let deadline = Instant::now() + timeout;
         loop {
+            // A pending pre-decode drop, whenever it landed: let the
+            // driver observe the counter rather than sleep on it.
+            if self.me.predecode_drops.load(Ordering::Relaxed) > 0 {
+                return Ok(None);
+            }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Ok(None);
@@ -262,11 +271,6 @@ impl SapTransport for BusEndpoint {
             queue = guard;
             if let Some(pkt) = queue.pop_front() {
                 return Ok(Some(pkt));
-            }
-            // Woken for a pre-decode drop (or spuriously): let the
-            // driver observe the drop counter rather than spin here.
-            if self.me.predecode_drops.load(Ordering::Relaxed) > 0 {
-                return Ok(None);
             }
         }
     }
@@ -358,6 +362,10 @@ mod tests {
         let b = bus.endpoint();
         a.send(&pkt(5)).unwrap();
         assert!(b.recv(Duration::ZERO).unwrap().is_none());
+        // The drop landed before the wait: it must not be slept on.
+        let start = Instant::now();
+        assert!(b.recv(Duration::from_secs(2)).unwrap().is_none());
+        assert!(start.elapsed() < Duration::from_secs(1), "lost wake-up");
         assert_eq!(b.take_rx_predecode_drops(), 1, "drop accounted at receiver");
         assert_eq!(b.take_rx_predecode_drops(), 0, "count resets on read");
         assert_eq!(bus.stats().dropped_corrupt, 1);

@@ -24,10 +24,10 @@
 //! [`AgentExit::error`] and the exit dump rather than lost.
 
 use std::io;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use sdalloc_core::Allocator;
 use sdalloc_sap::net::SapTransport;
 use sdalloc_sap::{CreateError, DirectoryConfig, Media, SessionDirectory};
@@ -492,7 +492,7 @@ enum Command {
         name: String,
         ttl: u8,
         media: Vec<Media>,
-        reply: Sender<Result<u64, CreateError>>,
+        reply: SyncSender<Result<u64, CreateError>>,
     },
     Withdraw {
         id: u64,
@@ -503,7 +503,7 @@ enum Command {
 
 struct Worker {
     node: u32,
-    cmd: Sender<Command>,
+    cmd: SyncSender<Command>,
     snapshots: SnapshotHandle,
     thread: Option<std::thread::JoinHandle<AgentExit>>,
 }
@@ -535,7 +535,7 @@ impl Runtime {
         for driver in drivers {
             let node = driver.node;
             let snapshots = driver.snapshot_handle();
-            let (cmd_tx, cmd_rx): (Sender<Command>, Receiver<Command>) = bounded(16);
+            let (cmd_tx, cmd_rx) = sync_channel::<Command>(16);
             let spawned = std::thread::Builder::new()
                 .name(format!("sd-agent-{node}"))
                 .spawn(move || worker_loop(driver, &cmd_rx))
@@ -579,7 +579,7 @@ impl Runtime {
         ttl: u8,
         media: Vec<Media>,
     ) -> Result<u64, CreateError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         self.worker(agent)
             .cmd
             .send(Command::Create {

@@ -23,12 +23,11 @@
 //!   fingerprint tests exploit.
 //! * **Snapshot read path** ([`SnapshotPublisher`], [`SnapshotReader`])
 //!   — the writer periodically captures its cache into an immutable
-//!   [`DirectorySnapshot`] and publishes it with one atomic pointer
-//!   swap ([`crossbeam::epoch::ArcSwap`]); readers borrow the current
-//!   snapshot lock-free and allocation-free, with epoch-based deferred
-//!   reclamation guaranteeing no snapshot is freed while a reader holds
-//!   it.  Each row carries a checksum so stress tests can prove reads
-//!   are never torn.
+//!   [`DirectorySnapshot`] and publishes it with one pointer swap
+//!   through a `Mutex<Arc<_>>` cell ([`crossbeam::epoch::ArcSwap`]);
+//!   a reader's load is one refcount increment, allocation-free, and no
+//!   snapshot is freed while a reader holds it.  Each row carries a
+//!   checksum so stress tests can prove reads are never torn.
 //!
 //! The [`soak`] module packages the chaos scenario (crash/restart under
 //! reader load) that `experiments chaos` and `scripts/check.sh` gate on.

@@ -1,29 +1,28 @@
-//! Immutable directory snapshots and the lock-free read path.
+//! Immutable directory snapshots and their read path.
 //!
 //! The writer (an agent thread that owns its
 //! [`sdalloc_sap::SessionDirectory`]) periodically brings a
 //! [`DirectorySnapshot`] — a sorted, immutable, cheaply shareable
 //! projection of the announcement cache — up to date and *publishes* it
-//! with one atomic pointer swap through [`crossbeam::epoch::ArcSwap`].
-//! Query threads hold a [`SnapshotReader`] and borrow the current
-//! snapshot without taking any lock; superseded snapshots are reclaimed
-//! only once every pinned reader has moved past them (see
-//! `vendor/crossbeam/src/epoch.rs` for the safety argument).
+//! with one pointer swap through [`crossbeam::epoch::ArcSwap`], a
+//! `Mutex<Arc<_>>`.  Query threads hold a [`SnapshotReader`]; a load is
+//! one refcount increment under that mutex, and a superseded snapshot
+//! is freed when the last reader holding it lets go.
 //!
 //! Everything a query needs is precomputed at publish time so the read
 //! side allocates nothing: rows are sorted by [`CacheKey`] (binary-search
 //! point lookups) and the distinct group list is sorted (binary-search
 //! `group_in_use`).  Each row carries an FNV-1a checksum over its
 //! fields, letting stress tests prove that a reader can never observe a
-//! torn or recycled row: a snapshot either verifies in full or the
-//! reclamation scheme is broken.
+//! torn or recycled row: a snapshot either verifies in full or
+//! publication is broken.
 //!
 //! ## Publishing costs O(changes)
 //!
 //! Every snapshot records the cache's change-journal cursor it
 //! reflects.  The publisher keeps its own `Arc` to its last two
-//! publications; by the next publish the older one has been retired and
-//! collected by the epoch cell, so the publisher owns it outright,
+//! publications; by the next publish the cell has let go of the older
+//! one, so unless a reader still holds it the publisher owns it outright,
 //! re-reads just the rows the journal names since that snapshot's
 //! cursor (`DirectorySnapshot::replay`) and publishes it again.
 //! [`DirectorySnapshot::capture`] — copy, checksum and sort every row —
@@ -375,7 +374,7 @@ pub struct SnapshotStats {
 }
 
 /// The writer's half of the snapshot cell: owns the cadence policy,
-/// publishes via the epoch cell, and recycles the snapshot before last.
+/// publishes via the cell, and recycles the snapshot before last.
 ///
 /// A publisher serves one directory: journal cursors are only
 /// meaningful against the cache (or its restarted successors) they were
@@ -387,7 +386,7 @@ pub struct SnapshotPublisher {
     stats: SnapshotStats,
     /// Our own reference to what the cell currently serves.
     current: Option<Arc<DirectorySnapshot>>,
-    /// …and to the publication before it, which the cell retired when
+    /// …and to the publication before it, which the cell let go of when
     /// `current` went in: the buffer the next publish replays onto.
     spare: Option<Arc<DirectorySnapshot>>,
 }
@@ -431,17 +430,11 @@ impl SnapshotPublisher {
         due
     }
 
-    /// The publication before last as an owned value, if nobody else
-    /// can still see it.  The cell retired it when `current` replaced
-    /// it and drops its reference once no guard can refer to it (the
-    /// epoch argument in `vendor/crossbeam/src/epoch.rs`); any
-    /// `load_full` holder owns a reference of its own.  So ours is the
-    /// last one — `try_unwrap` succeeds — exactly when no reader of
-    /// either kind is left.
+    /// The publication before last as an owned value, if no reader
+    /// still holds it: the cell dropped its reference when `current`
+    /// replaced it, so ours is the last one exactly then.
     fn reclaim_spare(&mut self) -> Option<DirectorySnapshot> {
-        let spare = self.spare.take()?;
-        self.cell.try_collect();
-        Arc::try_unwrap(spare).ok()
+        Arc::try_unwrap(self.spare.take()?).ok()
     }
 
     /// Unconditional publication (used at startup and by tests).
@@ -479,11 +472,6 @@ impl SnapshotPublisher {
     pub fn stats(&self) -> SnapshotStats {
         self.stats
     }
-
-    /// Retired-but-not-yet-freed snapshots (readers may still hold them).
-    pub fn retired_len(&self) -> usize {
-        self.cell.retired_len()
-    }
 }
 
 /// Cloneable, thread-safe entry point to a writer's snapshot cell.
@@ -493,31 +481,29 @@ pub struct SnapshotHandle {
 }
 
 impl SnapshotHandle {
-    /// A per-thread reader.  Each query thread needs its own (the epoch
-    /// pin slot is per-reader); the reader itself is `Send`.
+    /// A per-thread reader; the reader itself is `Send`.
     pub fn reader(&self) -> SnapshotReader {
         SnapshotReader {
             inner: self.cell.reader(),
         }
     }
 
-    /// Owned copy of the current snapshot via the slow (locking) path —
-    /// for one-off inspection off the hot path.
+    /// Owned reference to the current snapshot without a reader, for
+    /// one-off inspection.
     pub fn load_slow(&self) -> Arc<DirectorySnapshot> {
-        self.cell.load_full_slow()
+        self.cell.load_full()
     }
 }
 
-/// A pinned-epoch reader of one writer's snapshots.
+/// A reader of one writer's snapshots.
 #[derive(Debug)]
 pub struct SnapshotReader {
     inner: Reader<DirectorySnapshot>,
 }
 
 impl SnapshotReader {
-    /// Borrow the current snapshot without locking.  The borrow pins the
-    /// reader's epoch slot; the snapshot cannot be freed while the guard
-    /// lives.  Zero-alloc.
+    /// The current snapshot, kept alive while the guard lives.
+    /// Zero-alloc.
     pub fn load(&mut self) -> Guard<'_, DirectorySnapshot> {
         self.inner.load()
     }
@@ -525,12 +511,6 @@ impl SnapshotReader {
     /// Promote to an owned `Arc` (outlives any publication).
     pub fn load_full(&mut self) -> Arc<DirectorySnapshot> {
         self.inner.load_full()
-    }
-
-    /// Whether this reader got a dedicated epoch slot (true for the
-    /// first [`crossbeam::epoch::MAX_READERS`] readers per cell).
-    pub fn is_lock_free(&self) -> bool {
-        self.inner.is_lock_free()
     }
 }
 
@@ -691,14 +671,42 @@ mod tests {
         drop(held);
         p.publish(t(5), &dir);
         assert_eq!(p.stats().replayed, 1);
+        // A borrowed guard holds its snapshot just as an owned Arc does.
+        let guard = reader.load(); // version 4: the spare after next
+        p.publish(t(5), &dir);
+        assert_eq!(p.stats().replayed, 2, "version 3 was free");
+        p.publish(t(5), &dir);
+        assert_eq!(p.stats().replayed, 2, "a guard still borrows the spare");
+        assert_eq!(guard.version(), 4);
+        drop(guard);
+        p.publish(t(5), &dir);
+        assert_eq!(p.stats().replayed, 3);
         // A restart replaces the cache: no cursor survives it.
         dir.restart(t(6));
         p.publish(t(6), &dir);
         p.publish(t(7), &dir);
-        assert_eq!(p.stats().replayed, 1, "both spares predate the restart");
+        assert_eq!(p.stats().replayed, 3, "both spares predate the restart");
         assert_eq!(reader.load().len(), 0);
         p.publish(t(8), &dir);
-        assert_eq!(p.stats().replayed, 2);
+        assert_eq!(p.stats().replayed, 4);
+    }
+
+    #[test]
+    fn a_reader_that_panics_under_a_guard_leaves_the_cell_usable() {
+        let dir = directory_with(3);
+        let mut p = SnapshotPublisher::new(SnapshotCadence::default());
+        let handle = p.handle();
+        p.publish(SimTime::from_secs(1), &dir);
+        let mut doomed = handle.reader();
+        let died = std::thread::spawn(move || {
+            let guard = doomed.load();
+            panic!("reader dies holding version {}", guard.version());
+        })
+        .join();
+        assert!(died.is_err());
+        // No lock is held across reader code, so none was poisoned.
+        p.publish(SimTime::from_secs(2), &dir);
+        assert_eq!(handle.reader().load().version(), 2);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! zero-alloc query set, verifying every row checksum.
 //!
 //! The report answers the questions the chaos gate asks:
-//! * did any reader stall while the writer crashed/recovered? (the
-//!   lock-free claim — a reader must never block on the writer's fate);
-//! * did any reader ever observe a torn or recycled row? (the
-//!   reclamation claim);
+//! * did any reader stall while the writer crashed/recovered? (neither
+//!   side waits on the other for longer than one pointer swap or one
+//!   refcount increment; a reader holding yesterday's snapshot delays
+//!   its reclamation, never the next publish or another reader);
+//! * did any reader ever observe a torn or recycled row? (a snapshot
+//!   lives as long as anyone holds it);
 //! * how long was the crashed node's *exposure window* — restart until
 //!   its snapshot again carried the pre-crash session set — which is the
 //!   runtime-level mirror of the PR-8 reconciliation rebuild numbers.

@@ -14,6 +14,14 @@ run() {
 }
 
 run cargo fmt --check
+# `unsafe_code = "deny"` can be lifted by an `#[allow]` and `vendor/*`
+# does not opt into the workspace lints: no unsafe block, fn, impl or
+# trait in product code at all (tests/alloc_free_paths.rs's counting
+# allocator is the one user, outside these directories).
+echo "==> no unsafe in crates/ vendor/ src/ examples/"
+if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|extern|trait)' crates vendor src examples; then
+    echo "unsafe code outside the test allocator shim"; exit 1
+fi
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo xtask check
 run cargo xtask model --smoke

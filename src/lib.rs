@@ -14,7 +14,7 @@
 //! * [`sap`] — SDP/SAP wire formats, announce/listen engine, transports
 //! * [`core`] — the allocation algorithms and analytic models
 //! * [`rr`] — request–response suppression (analytics + simulation)
-//! * [`runtime`] — threaded multi-agent driver, lock-free snapshot reads
+//! * [`runtime`] — threaded multi-agent driver, snapshot reads
 //! * [`experiments`] — per-figure experiment runners
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and the

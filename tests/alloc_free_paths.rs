@@ -342,7 +342,7 @@ fn reader_queries_on_a_loaded_snapshot_do_not_allocate() {
         }
         hits
     };
-    // Warm-up: fault in the reader's epoch slot.
+    // Warm-up: first-touch costs stay out of the count.
     let mut hits = pass(1);
     let before = alloc_events();
     for iter in 0..PASSES {

@@ -180,7 +180,6 @@ fn readers_never_observe_torn_or_recycled_rows() {
             let regressions = Arc::clone(&regressions);
             let loads = Arc::clone(&loads[r]);
             std::thread::spawn(move || {
-                assert!(reader.is_lock_free(), "reader {r} fell off the fast path");
                 let mut last_version = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let snap = reader.load();
