@@ -27,11 +27,11 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use sdalloc_sap::net::SapTransport;
+use sdalloc_sap::net::{SapTransport, Waker};
 use sdalloc_sap::wire::{corrupt_in_flight, trace_emission, SapPacket};
 use sdalloc_sim::{FaultPlan, SimRng};
 
@@ -66,6 +66,9 @@ struct Endpoint {
     queue: Mutex<VecDeque<SapPacket>>,
     ready: Condvar,
     predecode_drops: AtomicU64,
+    /// A [`SapTransport::waker`] call not yet seen by a blocking `recv`.
+    /// Written and read under the queue lock, as `predecode_drops` is.
+    woken: AtomicBool,
 }
 
 struct BusShared {
@@ -125,6 +128,7 @@ impl LoopbackBus {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             predecode_drops: AtomicU64::new(0),
+            woken: AtomicBool::new(false),
         });
         endpoints.push(Arc::clone(&ep));
         BusEndpoint {
@@ -254,9 +258,11 @@ impl SapTransport for BusEndpoint {
         }
         let deadline = Instant::now() + timeout;
         loop {
-            // A pending pre-decode drop, whenever it landed: let the
-            // driver observe the counter rather than sleep on it.
-            if self.me.predecode_drops.load(Ordering::Relaxed) > 0 {
+            // A pending pre-decode drop or wake, whenever it landed: let
+            // the driver observe it rather than sleep on it.
+            if self.me.predecode_drops.load(Ordering::Relaxed) > 0
+                || self.me.woken.swap(false, Ordering::Relaxed)
+            {
                 return Ok(None);
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -277,6 +283,18 @@ impl SapTransport for BusEndpoint {
 
     fn take_rx_predecode_drops(&self) -> u64 {
         self.me.predecode_drops.swap(0, Ordering::Relaxed)
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        let me = Arc::clone(&self.me);
+        Some(Box::new(move || {
+            // Flagged under the queue lock, like a push, so a receiver
+            // between its check and its wait cannot miss it.
+            let queue = lock(&me.queue);
+            me.woken.store(true, Ordering::Relaxed);
+            drop(queue);
+            me.ready.notify_one();
+        }))
     }
 }
 
@@ -327,6 +345,33 @@ mod tests {
         let got = b.recv(Duration::from_secs(5)).unwrap();
         t.join().unwrap();
         assert_eq!(got.unwrap().msg_id_hash, 9, "woken by the send");
+    }
+
+    #[test]
+    fn a_wake_cuts_the_next_blocking_recv_short_and_only_that_one() {
+        let clock = Arc::new(VirtualClock::new());
+        let bus = LoopbackBus::new(clock, 6, FaultPlan::new());
+        let a = bus.endpoint();
+        let wake = a.waker().expect("the bus can be woken");
+        // Before the wait: kept, not lost; a non-blocking recv leaves it.
+        wake();
+        assert!(a.recv(Duration::ZERO).unwrap().is_none());
+        let start = Instant::now();
+        assert!(a.recv(Duration::from_secs(5)).unwrap().is_none());
+        assert!(start.elapsed() < Duration::from_secs(1), "lost wake-up");
+        // Consumed: the next recv waits its budget out.
+        let start = Instant::now();
+        assert!(a.recv(Duration::from_millis(30)).unwrap().is_none());
+        assert!(start.elapsed() >= Duration::from_millis(25), "woken twice");
+        // During the wait.
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            wake();
+        });
+        let start = Instant::now();
+        assert!(a.recv(Duration::from_secs(5)).unwrap().is_none());
+        assert!(start.elapsed() < Duration::from_secs(1), "slept through it");
+        t.join().unwrap();
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //!
 //! [`AgentDriver`] owns one [`SessionDirectory`] plus its transport and
 //! pumps the protocol: sleep until the directory's `next_deadline` or a
-//! packet arrives, dispatch timers/packets, and publish snapshots at the
-//! configured cadence.  The same driver runs in three modes:
+//! packet arrives, dispatch timers/packets, and publish a snapshot
+//! whenever the cache has changed, as often as a fixed share of the
+//! loop's time pays for ([`SnapshotCadence`]: the driver times each
+//! publish on its own clock and charges the publisher).  The same driver
+//! runs in three modes:
 //!
 //! * **threaded** — [`Runtime::spawn`] gives each driver its own thread
-//!   plus a command channel, the production shape;
+//!   plus a command channel, the production shape; a command wakes the
+//!   thread out of its listen through [`SapTransport::waker`];
 //! * **stepped** — call [`AgentDriver::step`] from your own loop;
 //! * **deterministic** — [`AgentDriver::run_deterministic_until`] over a
 //!   [`VirtualClock`] and a quiet loopback bus replays the exact
@@ -24,12 +28,12 @@
 //! [`AgentExit::error`] and the exit dump rather than lost.
 
 use std::io;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use sdalloc_core::Allocator;
-use sdalloc_sap::net::SapTransport;
+use sdalloc_sap::net::{SapTransport, Waker};
 use sdalloc_sap::{CreateError, DirectoryConfig, Media, SessionDirectory};
 use sdalloc_sim::{FaultPlan, SimRng, SimTime};
 use sdalloc_telemetry::{CounterId, Severity, Telemetry, NO_ARG};
@@ -43,13 +47,15 @@ pub struct DriverConfig {
     /// Shortest listen budget per step (keeps a deadline-crowded driver
     /// from busy-spinning on the socket).
     pub min_wait: Duration,
-    /// Listen budget when nothing is due (also the command-latency
-    /// ceiling for a threaded agent).
+    /// Listen budget when nothing is due.  A threaded agent's commands
+    /// do not wait it out: they wake the transport, and over a transport
+    /// that cannot be woken [`Runtime::spawn`] caps it at
+    /// [`UNWAKEABLE_LISTEN`].
     pub idle_wait: Duration,
     /// After a blocking receive, drain at most this many further queued
     /// packets without waiting before re-checking timers.
     pub drain_batch: usize,
-    /// Snapshot publication cadence.
+    /// The share of the loop snapshot publication may take.
     pub cadence: SnapshotCadence,
 }
 
@@ -151,9 +157,12 @@ pub struct AgentDriver<T: SapTransport> {
     c_snapshots: CounterId,
     c_snapshot_replays: CounterId,
     c_snapshot_rows_changed: CounterId,
+    c_snapshot_deferred: CounterId,
+    c_snapshot_cost_us: CounterId,
     c_restarts: CounterId,
     c_rx_dropped: CounterId,
     c_commands: CounterId,
+    c_command_wakes: CounterId,
     c_retries: CounterId,
     c_terminal_failures: CounterId,
     retry: RetryPolicy,
@@ -188,9 +197,12 @@ impl<T: SapTransport> AgentDriver<T> {
         let c_snapshots = telemetry.counter("runtime.snapshots");
         let c_snapshot_replays = telemetry.counter("runtime.snapshot_replays");
         let c_snapshot_rows_changed = telemetry.counter("runtime.snapshot_rows_changed");
+        let c_snapshot_deferred = telemetry.counter("runtime.snapshot_deferred");
+        let c_snapshot_cost_us = telemetry.counter("runtime.snapshot_cost_us");
         let c_restarts = telemetry.counter("runtime.restarts");
         let c_rx_dropped = telemetry.counter("runtime.rx_predecode_dropped");
         let c_commands = telemetry.counter("runtime.commands");
+        let c_command_wakes = telemetry.counter("runtime.command_wakes");
         let c_retries = telemetry.counter("runtime.retries");
         let c_terminal_failures = telemetry.counter("runtime.terminal_failures");
         let rng_seed = seed ^ u64::from(node).rotate_left(32);
@@ -209,9 +221,12 @@ impl<T: SapTransport> AgentDriver<T> {
             c_snapshots,
             c_snapshot_replays,
             c_snapshot_rows_changed,
+            c_snapshot_deferred,
+            c_snapshot_cost_us,
             c_restarts,
             c_rx_dropped,
             c_commands,
+            c_command_wakes,
             c_retries,
             c_terminal_failures,
             retry: RetryPolicy::default(),
@@ -293,28 +308,42 @@ impl<T: SapTransport> AgentDriver<T> {
         Ok(())
     }
 
-    /// Publish a snapshot right now, regardless of cadence.
+    /// Publish a snapshot right now, whether or not one is due.
     pub fn publish_now(&mut self) {
-        self.publish(self.clock.now(), true);
+        self.publish(true);
     }
 
-    /// Publish — unconditionally with `force`, else when the cadence
-    /// says the cache has changed for long enough — and mirror what the
-    /// publisher did into `runtime.*`: how many publishes, how many of
-    /// them replayed rather than captured, how many rows they wrote.
-    fn publish(&mut self, now: SimTime, force: bool) {
-        let replayed_before = self.publisher.stats().replayed;
+    /// Publish — unconditionally with `force`, else when the cache has
+    /// changed and the publisher's rule lets it — time it on the
+    /// driver's clock, charge the publisher that cost, and mirror what
+    /// the publisher did into `runtime.*`: how many publishes, how many
+    /// replayed rather than captured, the rows they wrote, what they
+    /// cost, and how often one waited for a reader to release the spare.
+    fn publish(&mut self, force: bool) {
+        let before = self.publisher.stats();
+        let started = self.clock.now();
         if force {
-            self.publisher.publish(now, &self.directory);
-        } else if !self.publisher.maybe_publish(now, &self.directory) {
+            self.publisher.publish(started, &self.directory);
+        } else if !self.publisher.maybe_publish(started, &self.directory) {
+            let deferred = self.publisher.stats().deferred - before.deferred;
+            self.telemetry.inc_by(self.c_snapshot_deferred, deferred);
             return;
         }
+        let finished = self.clock.now();
+        self.publisher
+            .charge(finished, finished.saturating_since(started));
         let stats = self.publisher.stats();
         self.telemetry.inc(self.c_snapshots);
         self.telemetry
-            .inc_by(self.c_snapshot_replays, stats.replayed - replayed_before);
+            .inc_by(self.c_snapshot_replays, stats.replayed - before.replayed);
         self.telemetry
             .inc_by(self.c_snapshot_rows_changed, stats.rows_rewritten as u64);
+        // Whole microseconds of the running total, so that sub-µs
+        // publishes add up instead of each rounding to nothing.
+        self.telemetry.inc_by(
+            self.c_snapshot_cost_us,
+            stats.cost_ns / 1_000 - before.cost_ns / 1_000,
+        );
     }
 
     /// Feed one received packet to the engine and send any replies.
@@ -362,8 +391,9 @@ impl<T: SapTransport> AgentDriver<T> {
         Ok(true)
     }
 
-    /// One pump iteration: run due timers, publish if due, listen until
-    /// the next deadline (capped), ingest what arrives.
+    /// One pump iteration: run due timers, publish what changed, listen
+    /// until the next deadline (capped), ingest what arrives, publish
+    /// that.
     pub fn step(&mut self) -> io::Result<()> {
         self.telemetry.inc(self.c_steps);
         let now = self.clock.now();
@@ -374,14 +404,21 @@ impl<T: SapTransport> AgentDriver<T> {
             self.transport.send(&pkt)?;
             self.telemetry.inc(self.c_tx);
         }
-        self.publish(now, false);
-        let wait = match self.directory.next_deadline() {
-            Some(d) => {
+        self.publish(false);
+        // Listen until whichever is due first: the directory's next
+        // timer, or a publish that is owed but still being paid for.
+        let due = [
+            self.directory.next_deadline(),
+            self.publisher.pending_until(&self.directory),
+        ];
+        let wait = due
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(self.cfg.idle_wait, |d| {
                 let gap = Duration::from_nanos(d.saturating_since(now).as_nanos());
                 gap.clamp(self.cfg.min_wait, self.cfg.idle_wait)
-            }
-            None => self.cfg.idle_wait,
-        };
+            });
         if let Some(pkt) = self.transport.recv(wait)? {
             let rnow = self.clock.now();
             self.ingest(rnow, &pkt)?;
@@ -391,7 +428,7 @@ impl<T: SapTransport> AgentDriver<T> {
                     None => break,
                 }
             }
-            self.publish(self.clock.now(), false);
+            self.publish(false);
         }
         self.drain_predecode_drops(self.clock.now());
         Ok(())
@@ -426,7 +463,7 @@ impl<T: SapTransport> AgentDriver<T> {
                 self.transport.send(&pkt)?;
                 self.telemetry.inc(self.c_tx);
             }
-            self.publish(now, false);
+            self.publish(false);
         }
         vclock.advance_to(horizon);
         Ok(())
@@ -501,11 +538,33 @@ enum Command {
     Stop,
 }
 
+/// Slots in an agent's command channel; the worker serves up to this
+/// many commands between two steps.
+const COMMAND_SLOTS: usize = 16;
+
+/// Longest listen of a threaded agent whose transport has no
+/// [`SapTransport::waker`]: the price of a command there is this wait,
+/// not `idle_wait`.
+pub const UNWAKEABLE_LISTEN: Duration = Duration::from_millis(5);
+
 struct Worker {
     node: u32,
     cmd: SyncSender<Command>,
+    /// Cuts the agent's listen short after a command went in.
+    waker: Option<Waker>,
     snapshots: SnapshotHandle,
     thread: Option<std::thread::JoinHandle<AgentExit>>,
+}
+
+impl Worker {
+    /// Queue a command and wake the agent to serve it.
+    fn send(&self, cmd: Command) -> Result<(), SendError<Command>> {
+        self.cmd.send(cmd)?;
+        if let Some(wake) = &self.waker {
+            wake();
+        }
+        Ok(())
+    }
 }
 
 /// A set of agent threads, one per driver, plus their command channels.
@@ -525,23 +584,32 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Spawn one thread per driver.  Thread `i` serves drivers[i]; its
-    /// command latency is bounded by the driver's `idle_wait`.
+    /// Spawn one thread per driver.  Thread `i` serves drivers[i].  A
+    /// command wakes its agent through the transport's
+    /// [`SapTransport::waker`], so it is served within a loop turn, not
+    /// an `idle_wait`; an agent whose transport has none listens for at
+    /// most [`UNWAKEABLE_LISTEN`] at a time instead.
     pub fn spawn<T>(drivers: Vec<AgentDriver<T>>) -> io::Result<Runtime>
     where
         T: SapTransport + 'static,
     {
         let mut workers = Vec::with_capacity(drivers.len());
-        for driver in drivers {
+        for mut driver in drivers {
             let node = driver.node;
             let snapshots = driver.snapshot_handle();
-            let (cmd_tx, cmd_rx) = sync_channel::<Command>(16);
+            let waker = driver.transport.waker();
+            if waker.is_none() {
+                driver.cfg.idle_wait = driver.cfg.idle_wait.min(UNWAKEABLE_LISTEN);
+            }
+            let wakeable = waker.is_some();
+            let (cmd_tx, cmd_rx) = sync_channel::<Command>(COMMAND_SLOTS);
             let spawned = std::thread::Builder::new()
                 .name(format!("sd-agent-{node}"))
-                .spawn(move || worker_loop(driver, &cmd_rx))
+                .spawn(move || worker_loop(driver, &cmd_rx, wakeable))
                 .map(|t| Worker {
                     node,
                     cmd: cmd_tx,
+                    waker,
                     snapshots,
                     thread: Some(t),
                 });
@@ -581,7 +649,6 @@ impl Runtime {
     ) -> Result<u64, CreateError> {
         let (reply_tx, reply_rx) = sync_channel(1);
         self.worker(agent)
-            .cmd
             .send(Command::Create {
                 name: name.to_string(),
                 ttl,
@@ -594,18 +661,18 @@ impl Runtime {
 
     /// Withdraw a session on a running agent (fire and forget).
     pub fn withdraw(&self, agent: usize, id: u64) {
-        let _ = self.worker(agent).cmd.send(Command::Withdraw { id });
+        let _ = self.worker(agent).send(Command::Withdraw { id });
     }
 
-    /// Ask an agent to publish a snapshot out of cadence.
+    /// Ask an agent to publish a snapshot whether or not one is due.
     pub fn publish_now(&self, agent: usize) {
-        let _ = self.worker(agent).cmd.send(Command::Publish);
+        let _ = self.worker(agent).send(Command::Publish);
     }
 
     /// Stop every agent and collect their exit reports, node order.
     pub fn shutdown(mut self) -> Vec<AgentExit> {
         for w in &self.workers {
-            let _ = w.cmd.send(Command::Stop);
+            let _ = w.send(Command::Stop);
         }
         let mut exits = Vec::with_capacity(self.workers.len());
         for w in &mut self.workers {
@@ -628,38 +695,54 @@ impl Runtime {
     }
 }
 
-/// The worker thread body: serve commands, pump the driver, absorb
-/// transient transport errors under the retry policy, report.
+/// The worker thread body: serve every queued command, pump the driver
+/// one step, absorb transient transport errors under the retry policy,
+/// report.  `wakeable`: every command comes with a wake of the
+/// transport (counted in `runtime.command_wakes`).
 fn worker_loop<T: SapTransport>(
     mut driver: AgentDriver<T>,
     cmd_rx: &Receiver<Command>,
+    wakeable: bool,
 ) -> AgentExit {
     let mut consecutive: u32 = 0;
     let mut failing_since: Option<SimTime> = None;
-    let error = loop {
-        let served = match cmd_rx.try_recv() {
-            Ok(Command::Stop) | Err(TryRecvError::Disconnected) => break None,
-            Ok(Command::Create {
-                name,
-                ttl,
-                media,
-                reply,
-            }) => {
-                driver.telemetry.inc(driver.c_commands);
-                let _ = reply.send(driver.create_session(&name, ttl, media));
-                Ok(())
+    let error = 'pump: loop {
+        // Every command that is waiting, not one: a client that sends
+        // faster than packets arrive must not fill the channel while
+        // the worker listens.  At most a channel's worth per turn, so
+        // timers and packets keep their turn too.
+        let mut served = Ok(());
+        for _ in 0..COMMAND_SLOTS {
+            let cmd = match cmd_rx.try_recv() {
+                Ok(cmd) => cmd,
+                Err(TryRecvError::Disconnected) => break 'pump None,
+                Err(TryRecvError::Empty) => break,
+            };
+            driver
+                .telemetry
+                .inc_by(driver.c_command_wakes, u64::from(wakeable));
+            served = match cmd {
+                Command::Stop => break 'pump None,
+                Command::Create {
+                    name,
+                    ttl,
+                    media,
+                    reply,
+                } => {
+                    let _ = reply.send(driver.create_session(&name, ttl, media));
+                    Ok(())
+                }
+                Command::Withdraw { id } => driver.withdraw_session(id),
+                Command::Publish => {
+                    driver.publish_now();
+                    Ok(())
+                }
+            };
+            driver.telemetry.inc(driver.c_commands);
+            if served.is_err() {
+                break;
             }
-            Ok(Command::Withdraw { id }) => {
-                driver.telemetry.inc(driver.c_commands);
-                driver.withdraw_session(id)
-            }
-            Ok(Command::Publish) => {
-                driver.telemetry.inc(driver.c_commands);
-                driver.publish_now();
-                Ok(())
-            }
-            Err(TryRecvError::Empty) => Ok(()),
-        };
+        }
         match served.and_then(|()| driver.step()) {
             Ok(()) => {
                 consecutive = 0;
@@ -702,10 +785,20 @@ mod tests {
     }
 
     fn driver<T: SapTransport>(host: u8, seed: u64, transport: T) -> AgentDriver<T> {
+        driver_listening(Duration::from_millis(20), host, seed, transport)
+    }
+
+    /// A driver whose idle listen lasts `idle_wait`.
+    fn driver_listening<T: SapTransport>(
+        idle_wait: Duration,
+        host: u8,
+        seed: u64,
+        transport: T,
+    ) -> AgentDriver<T> {
         let mut cfg = DirectoryConfig::new(Ipv4Addr::new(127, 0, 0, host));
         cfg.space = AddrSpace::abstract_space(64);
         let knobs = DriverConfig {
-            idle_wait: Duration::from_millis(20),
+            idle_wait,
             ..DriverConfig::default()
         };
         AgentDriver::new(
@@ -733,7 +826,8 @@ mod tests {
     }
 
     /// A transport that fails its first `failures` operations with a
-    /// transient error, then behaves as an idle (packet-less) link.
+    /// transient error, then behaves as an idle (packet-less) link that
+    /// nothing can wake.
     struct FlakyTransport {
         failures: Arc<AtomicUsize>,
     }
@@ -756,7 +850,7 @@ mod tests {
 
         fn recv(&self, timeout: Duration) -> io::Result<Option<SapPacket>> {
             self.trip()?;
-            std::thread::sleep(timeout.min(Duration::from_millis(2)));
+            std::thread::sleep(timeout);
             Ok(None)
         }
     }
@@ -1064,8 +1158,100 @@ mod tests {
         assert_eq!(b.directory().cached_sessions(), 1);
     }
 
+    /// One agent alone on a loopback bus (nothing ever arrives), whose
+    /// idle listen lasts five seconds.
+    fn silent_agent(seed: u64) -> Runtime {
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+        let bus = LoopbackBus::new(clock, seed, FaultPlan::new());
+        let agent = driver_listening(Duration::from_secs(5), 9, seed, bus.endpoint());
+        Runtime::spawn(vec![agent]).unwrap()
+    }
+
     #[test]
     fn spawned_agent_responds_to_commands() {
+        let rt = silent_agent(3);
+        // Let the worker settle into its five-second listen.
+        std::thread::sleep(Duration::from_millis(50));
+        // The best of three, so that one scheduling hiccup on a loaded
+        // host does not pass for a timeout; a timeout would be 5 s each.
+        let mut ids = Vec::new();
+        let rtt = (0..3)
+            .map(|i| {
+                let asked = std::time::Instant::now();
+                ids.push(
+                    rt.create_session(0, &format!("bg-{i}"), 1, media())
+                        .unwrap(),
+                );
+                asked.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            rtt < Duration::from_millis(50),
+            "the command woke the listen, not its timeout: {rtt:?}"
+        );
+        rt.withdraw(0, ids[0]);
+        let exit = rt.shutdown().remove(0);
+        assert_eq!(exit.error, None);
+        let telemetry = &exit.runtime_telemetry;
+        assert!(counter(telemetry, "runtime.tx") >= 1, "{telemetry}");
+        assert_eq!(counter(telemetry, "runtime.commands"), 4, "{telemetry}");
+        assert_eq!(
+            counter(telemetry, "runtime.command_wakes"),
+            5,
+            "three creates, a withdraw, the stop: {telemetry}"
+        );
+    }
+
+    #[test]
+    fn a_burst_of_commands_does_not_wait_on_packets() {
+        // PR 11's livelock: one command per loop turn and a 16-slot
+        // channel, so a client faster than the traffic blocked in `send`
+        // while the worker slept in `recv`.
+        let rt = silent_agent(4);
+        let asked = std::time::Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| (0..64).for_each(|id| rt.withdraw(0, 1_000 + id)));
+            s.spawn(|| {
+                for i in 0..8 {
+                    rt.create_session(0, &format!("burst-{i}"), 1, media())
+                        .unwrap();
+                }
+            });
+        });
+        let took = asked.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "72 commands took {took:?}"
+        );
+        let exit = rt.shutdown().remove(0);
+        assert_eq!(exit.error, None);
+        assert_eq!(counter(&exit.runtime_telemetry, "runtime.commands"), 72);
+    }
+
+    #[test]
+    fn an_agent_nothing_can_wake_listens_a_few_ms_at_a_time() {
+        let transport = FlakyTransport {
+            failures: Arc::new(AtomicUsize::new(0)),
+        };
+        let agent = driver_listening(Duration::from_secs(5), 8, 11, transport);
+        let rt = Runtime::spawn(vec![agent]).unwrap();
+        let asked = std::time::Instant::now();
+        for i in 0..4 {
+            rt.create_session(0, &format!("polled-{i}"), 1, media())
+                .unwrap();
+        }
+        let took = asked.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "four commands took {took:?}"
+        );
+        let exit = rt.shutdown().remove(0);
+        assert_eq!(counter(&exit.runtime_telemetry, "runtime.command_wakes"), 0);
+    }
+
+    #[test]
+    fn spawned_agent_announces_over_a_socket() {
         let Some(sock) = try_socket(29877) else {
             return;
         };

@@ -22,8 +22,9 @@
 //!   [`VirtualClock`] with a single agent, which the differential
 //!   fingerprint tests exploit.
 //! * **Snapshot read path** ([`SnapshotPublisher`], [`SnapshotReader`])
-//!   — the writer periodically captures its cache into an immutable
-//!   [`DirectorySnapshot`] and publishes it with one pointer swap
+//!   — whenever its cache has changed, as often as a fixed share of its
+//!   loop pays for, the writer brings an immutable
+//!   [`DirectorySnapshot`] up to date and publishes it with one pointer swap
 //!   through a `Mutex<Arc<_>>` cell ([`crossbeam::epoch::ArcSwap`]);
 //!   a reader's load is one refcount increment, allocation-free, and no
 //!   snapshot is freed while a reader holds it.  Each row carries a

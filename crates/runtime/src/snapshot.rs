@@ -1,9 +1,10 @@
 //! Immutable directory snapshots and their read path.
 //!
 //! The writer (an agent thread that owns its
-//! [`sdalloc_sap::SessionDirectory`]) periodically brings a
-//! [`DirectorySnapshot`] — a sorted, immutable, cheaply shareable
-//! projection of the announcement cache — up to date and *publishes* it
+//! [`sdalloc_sap::SessionDirectory`]) brings a [`DirectorySnapshot`] —
+//! a sorted, immutable, cheaply shareable projection of the
+//! announcement cache — up to date whenever the cache has changed (see
+//! "When to publish" below) and *publishes* it
 //! with one pointer swap through [`crossbeam::epoch::ArcSwap`], a
 //! `Mutex<Arc<_>>`.  Query threads hold a [`SnapshotReader`]; a load is
 //! one refcount increment under that mutex, and a superseded snapshot
@@ -27,9 +28,24 @@
 //! cursor (`DirectorySnapshot::replay`) and publishes it again.
 //! [`DirectorySnapshot::capture`] — copy, checksum and sort every row —
 //! remains the one full build, taken when replay is not possible: the
-//! first two publishes, a reader still holding the spare, a cursor the
-//! journal no longer covers (ring overrun, restart), or more changed
-//! keys than the cache has rows.
+//! first two publishes, a cursor the journal no longer covers (ring
+//! overrun, restart), more changed keys than the cache has rows, or a
+//! reader that has held the spare for a whole
+//! [`SnapshotCadence::max_wait`].
+//!
+//! ## When to publish: as soon as something changed, at a bounded cost
+//!
+//! [`SnapshotPublisher::maybe_publish`] publishes whenever the cache's
+//! journal is ahead of the published cursor, with one limit: the writer
+//! tells the publisher what each publish cost
+//! ([`SnapshotPublisher::charge`]), and the next one may not start
+//! before `(share - 1) x` that cost has passed.  Publishing therefore
+//! takes at most a `1/share` slice of the writer's loop whatever the
+//! load: a lone change on an idle directory is readable at once, a
+//! saturated one publishes bigger batches less often, and a
+//! capture-sized publish backs itself off.  A due publish whose spare a
+//! reader still holds *waits* for the reader rather than allocating a
+//! third snapshot.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -336,21 +352,28 @@ impl DirectorySnapshot {
     }
 }
 
-/// When the writer publishes a fresh snapshot.
+/// How much of the writer's loop publication may take.
+///
+/// There is no interval: a change is published as soon as the cost of
+/// the publish before it has been paid off.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotCadence {
-    /// Publish no more often than this while updates trickle in.
-    pub min_interval: SimDuration,
-    /// …but never let more than this many cache changes pile up
-    /// unpublished, even inside the interval.
-    pub max_pending: u64,
+    /// Publishing gets at most one part in `share` of the writer's
+    /// time: after a publish that cost `c`, the next waits `(share - 1)
+    /// x c`.
+    pub share: u32,
+    /// Ceiling on that wait, however dear the last publish was (one
+    /// preempted publish must not be multiplied by `share`), and how
+    /// long a due publish waits for a reader to let go of the spare
+    /// before it captures afresh.
+    pub max_wait: SimDuration,
 }
 
 impl Default for SnapshotCadence {
     fn default() -> Self {
         SnapshotCadence {
-            min_interval: SimDuration::from_millis(250),
-            max_pending: 50_000,
+            share: 20,
+            max_wait: SimDuration::from_millis(250),
         }
     }
 }
@@ -371,9 +394,14 @@ pub struct SnapshotStats {
     pub rows_rewritten: usize,
     /// Largest batch of cache changes folded into one publication.
     pub max_batch: u64,
+    /// Times a due publish waited because a reader still held the spare.
+    pub deferred: u64,
+    /// Summed cost the writer charged for its publishes, in
+    /// nanoseconds; over `published` it is the mean cost of one.
+    pub cost_ns: u64,
 }
 
-/// The writer's half of the snapshot cell: owns the cadence policy,
+/// The writer's half of the snapshot cell: decides when to publish,
 /// publishes via the cell, and recycles the snapshot before last.
 ///
 /// A publisher serves one directory: journal cursors are only
@@ -389,6 +417,8 @@ pub struct SnapshotPublisher {
     /// …and to the publication before it, which the cell let go of when
     /// `current` went in: the buffer the next publish replays onto.
     spare: Option<Arc<DirectorySnapshot>>,
+    /// Until when the last charged publish is still being paid off.
+    not_before: SimTime,
 }
 
 impl SnapshotPublisher {
@@ -400,6 +430,7 @@ impl SnapshotPublisher {
             stats: SnapshotStats::default(),
             current: None,
             spare: None,
+            not_before: SimTime::ZERO,
         }
     }
 
@@ -410,24 +441,47 @@ impl SnapshotPublisher {
         }
     }
 
-    /// Publish if the cadence policy says so: first publication is
-    /// immediate, afterwards the cache must have changed since the last
-    /// one *and* either the interval has elapsed or the backlog of
-    /// changes hit `max_pending`.
-    pub fn maybe_publish(&mut self, now: SimTime, dir: &SessionDirectory) -> bool {
-        let due = match &self.current {
-            None => true,
-            Some(current) => {
-                let pending = dir.cache().change_seq().abs_diff(current.cursor);
-                pending > 0
-                    && (now.saturating_since(current.published_at) >= self.cadence.min_interval
-                        || pending >= self.cadence.max_pending)
-            }
-        };
-        if due {
-            self.publish(now, dir);
+    /// When a publish that is owed may next be attempted: `None` while
+    /// the cache has not changed since the last one.  An instant in the
+    /// past means "now" (or that a reader holds the spare).
+    pub fn pending_until(&self, dir: &SessionDirectory) -> Option<SimTime> {
+        match &self.current {
+            Some(current) if dir.cache().change_seq() == current.cursor => None,
+            _ => Some(self.not_before),
         }
-        due
+    }
+
+    /// Publish if the cache has changed since the last publication and
+    /// the last charged cost is paid off; the first publication is
+    /// unconditional.  A publish that is due while a reader still holds
+    /// the spare is put off — capturing instead would allocate a third
+    /// snapshot — until the reader lets go, or until `max_wait` after
+    /// the last publication, whichever comes first.
+    pub fn maybe_publish(&mut self, now: SimTime, dir: &SessionDirectory) -> bool {
+        if self.pending_until(dir).is_none_or(|at| now < at) {
+            return false;
+        }
+        if let (Some(current), Some(spare)) = (&self.current, &self.spare) {
+            if Arc::strong_count(spare) > 1
+                && now.saturating_since(current.published_at) < self.cadence.max_wait
+            {
+                self.stats.deferred += 1;
+                return false;
+            }
+        }
+        self.publish(now, dir);
+        true
+    }
+
+    /// The writer's account of what its last publish cost, on its own
+    /// clock: `finished` is when it ended.  Until `(share - 1) x cost`
+    /// later — `max_wait` at most — [`Self::maybe_publish`] holds off.
+    pub fn charge(&mut self, finished: SimTime, cost: SimDuration) {
+        let back_off = cost
+            .saturating_mul(u64::from(self.cadence.share.saturating_sub(1)))
+            .min(self.cadence.max_wait);
+        self.not_before = finished + back_off;
+        self.stats.cost_ns = self.stats.cost_ns.saturating_add(cost.as_nanos());
     }
 
     /// The publication before last as an owned value, if no reader
@@ -437,7 +491,8 @@ impl SnapshotPublisher {
         Arc::try_unwrap(self.spare.take()?).ok()
     }
 
-    /// Unconditional publication (used at startup and by tests).
+    /// Unconditional publication (startup, restart, shutdown, tests):
+    /// neither back-off nor a held spare puts it off.
     pub fn publish(&mut self, now: SimTime, dir: &SessionDirectory) {
         let cache = dir.cache();
         let version = self.stats.published + 1;
@@ -577,37 +632,159 @@ mod tests {
         assert!(!row.verify(), "a torn row must fail verification");
     }
 
+    /// Refresh `n` of the first three sessions: `n` journalled changes.
+    fn touch(dir: &mut SessionDirectory, n: usize) {
+        for i in 0..n {
+            dir.cache_observe_for_test(SimTime::from_secs(2), description(i % 3));
+        }
+    }
+
+    fn cadence(share: u32, max_wait_ms: u64) -> SnapshotCadence {
+        SnapshotCadence {
+            share,
+            max_wait: SimDuration::from_millis(max_wait_ms),
+        }
+    }
+
     #[test]
-    fn cadence_batches_publications() {
+    fn a_lone_change_publishes_at_once_and_silence_never_does() {
         let mut dir = directory_with(3);
-        let mut p = SnapshotPublisher::new(SnapshotCadence {
-            min_interval: SimDuration::from_millis(100),
-            max_pending: 10,
-        });
-        let touch = |dir: &mut SessionDirectory, n: usize| {
-            for i in 0..n {
-                dir.cache_observe_for_test(SimTime::from_secs(2), description(i % 3));
-            }
-        };
+        let mut p = SnapshotPublisher::new(SnapshotCadence::default());
+        let ms = SimTime::from_millis;
         // First publication is unconditional.
-        assert!(p.maybe_publish(SimTime::from_millis(1), &dir));
-        // The cache has not changed: nothing to publish.
-        assert!(!p.maybe_publish(SimTime::from_millis(500), &dir));
+        assert!(p.maybe_publish(ms(1), &dir));
+        assert_eq!(p.pending_until(&dir), None);
+        // The cache has not changed: nothing to publish, however long.
+        assert!(!p.maybe_publish(ms(2), &dir));
+        assert!(!p.maybe_publish(SimTime::from_secs(3_600), &dir));
+        // One change on an idle publisher: the very next call.
+        touch(&mut dir, 1);
+        assert!(p.pending_until(&dir).is_some());
+        assert!(p.maybe_publish(SimTime::from_secs(3_600), &dir));
+        // Nobody charged anything, so neither does the one after wait.
+        touch(&mut dir, 1);
+        assert!(p.maybe_publish(SimTime::from_secs(3_600), &dir));
+        assert_eq!(p.stats().published, 3);
+        assert_eq!((p.stats().max_batch, p.stats().deferred), (1, 0));
+    }
+
+    #[test]
+    fn a_charged_publish_blocks_the_next_for_its_share_and_no_longer() {
+        let mut dir = directory_with(3);
+        let mut p = SnapshotPublisher::new(cadence(10, 250));
+        let us = SimTime::from_micros;
+        assert!(p.maybe_publish(us(0), &dir));
+        // The publish ran from 0 to 100 us: 900 us of back-off.
+        p.charge(us(100), SimDuration::from_micros(100));
+        touch(&mut dir, 2);
+        assert_eq!(p.pending_until(&dir), Some(us(1_000)));
+        assert!(!p.maybe_publish(us(101), &dir));
+        assert!(!p.maybe_publish(us(999), &dir));
+        assert!(
+            p.maybe_publish(us(1_000), &dir),
+            "paid off: not a tick longer"
+        );
+        assert_eq!(p.stats().max_batch, 2, "what piled up went out together");
+        // A zero-cost publish (a virtual clock) never blocks.
+        p.charge(us(1_000), SimDuration::ZERO);
+        touch(&mut dir, 1);
+        assert!(p.maybe_publish(us(1_000), &dir));
+        // A charge above max_wait / (share - 1) is capped at max_wait.
+        p.charge(us(2_000), SimDuration::from_millis(28));
+        touch(&mut dir, 1);
+        assert_eq!(p.pending_until(&dir), Some(us(252_000)));
+        assert!(!p.maybe_publish(us(251_999), &dir));
+        assert!(p.maybe_publish(us(252_000), &dir));
+        assert_eq!(p.stats().cost_ns, 28_100_000);
+        assert_eq!(p.stats().deferred, 0, "back-off is not deferral");
+    }
+
+    #[test]
+    fn dearer_publishes_mean_fewer_of_them() {
+        // A change every 100 us for 100 ms, against publishes charged
+        // 10 us, 100 us, 1 ms and 10 ms.
+        let counts: Vec<u64> = [10u64, 100, 1_000, 10_000]
+            .into_iter()
+            .map(|cost_us| {
+                let mut dir = directory_with(3);
+                let mut p = SnapshotPublisher::new(cadence(10, 250));
+                for tick in 0..1_000u64 {
+                    let now = SimTime::from_micros(tick * 100);
+                    touch(&mut dir, 1);
+                    if p.maybe_publish(now, &dir) {
+                        let cost = SimDuration::from_micros(cost_us);
+                        p.charge(now + cost, cost);
+                    }
+                }
+                p.stats().published
+            })
+            .collect();
+        assert_eq!(
+            counts,
+            [1_000, 100, 10, 1],
+            "one part in ten, whatever the cost"
+        );
+    }
+
+    #[test]
+    fn a_held_spare_defers_instead_of_allocating() {
+        let mut dir = directory_with(5);
+        let mut p = SnapshotPublisher::new(cadence(10, 250));
+        let handle = p.handle();
+        let (mut reader, mut scanner) = (handle.reader(), handle.reader());
+        let ms = SimTime::from_millis;
+        p.publish(ms(1), &dir);
+        p.publish(ms(2), &dir);
+        let guard = scanner.load(); // version 2: the spare after next
         touch(&mut dir, 1);
         assert!(
-            p.maybe_publish(SimTime::from_millis(510), &dir),
-            "interval elapsed"
+            p.maybe_publish(ms(3), &dir),
+            "version 1 is free to replay onto"
         );
-        // Changes inside the interval: held back…
+        assert_eq!((p.stats().published, p.stats().replayed), (3, 1));
+
+        // Due, but the reader still scans version 2: wait for it.
         touch(&mut dir, 1);
-        assert!(!p.maybe_publish(SimTime::from_millis(560), &dir));
-        // …until the interval elapses.
-        assert!(p.maybe_publish(SimTime::from_millis(611), &dir));
-        // A backlog at max_pending forces through the interval.
-        touch(&mut dir, 10);
-        assert!(p.maybe_publish(SimTime::from_millis(612), &dir));
-        assert_eq!(p.stats().published, 4);
-        assert_eq!(p.stats().max_batch, 10);
+        assert!(!p.maybe_publish(ms(4), &dir));
+        assert!(!p.maybe_publish(ms(5), &dir));
+        assert_eq!(p.stats().deferred, 2);
+        assert_eq!((p.stats().published, p.stats().replayed), (3, 1));
+        assert_eq!(reader.load().version(), 3, "nothing new was built");
+        assert!(p.pending_until(&dir).is_some(), "still owed");
+        // The reader lets go: the same buffer is replayed, two changes on.
+        drop(guard);
+        assert!(p.maybe_publish(ms(6), &dir));
+        assert_eq!((p.stats().published, p.stats().replayed), (4, 2));
+        assert_eq!(p.stats().rows_rewritten, 1);
+
+        // A reader pinned for good: the publisher keeps its spare — two
+        // snapshots resident, not three — until max_wait after the last
+        // publish, then captures as a fixed cadence would have.
+        let pinned = reader.load_full(); // version 4
+        touch(&mut dir, 1);
+        assert!(p.maybe_publish(ms(7), &dir), "version 3 was free");
+        touch(&mut dir, 1);
+        assert!(!p.maybe_publish(ms(8), &dir));
+        assert!(!p.maybe_publish(ms(256), &dir));
+        assert_eq!(
+            Arc::strong_count(&pinned),
+            2,
+            "ours and the publisher's spare"
+        );
+        assert!(p.maybe_publish(ms(257), &dir), "max_wait since version 5");
+        assert_eq!((p.stats().published, p.stats().replayed), (6, 3));
+        assert_eq!(p.stats().rows_rewritten, 5, "a capture");
+        assert_eq!(Arc::strong_count(&pinned), 1, "the publisher let it go");
+        let snap = reader.load();
+        let fresh = DirectorySnapshot::capture(6, ms(257), &dir);
+        assert_eq!((snap.rows(), snap.groups()), (fresh.rows(), fresh.groups()));
+        // publish() itself never defers.
+        let deferred = p.stats().deferred;
+        drop(snap);
+        let _held = reader.load();
+        p.publish(ms(258), &dir);
+        p.publish(ms(259), &dir);
+        assert_eq!((p.stats().published, p.stats().deferred), (8, deferred));
     }
 
     #[test]

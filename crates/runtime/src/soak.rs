@@ -32,7 +32,6 @@ use sdalloc_sim::{FaultPlan, SimDuration, SimTime};
 use crate::bus::{BusStats, LoopbackBus};
 use crate::clock::{Clock, WallClock};
 use crate::driver::{AgentDriver, DriverConfig, Runtime};
-use crate::snapshot::SnapshotCadence;
 
 /// Soak scenario knobs.
 #[derive(Debug, Clone)]
@@ -157,15 +156,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let restart_at = SimTime::from_secs_f64(cfg.duration.as_secs_f64() * cfg.restart_frac);
     let plan = FaultPlan::new().with_crash(crash_node, crash_at, Some(restart_at));
     let bus = LoopbackBus::new(Arc::clone(&clock) as Arc<dyn Clock>, cfg.seed, plan.clone());
-    let driver_cfg = DriverConfig {
-        min_wait: Duration::from_millis(1),
-        idle_wait: Duration::from_millis(10),
-        drain_batch: 64,
-        cadence: SnapshotCadence {
-            min_interval: SimDuration::from_millis(20),
-            max_pending: 1_000,
-        },
-    };
     let mut drivers = Vec::with_capacity(cfg.agents);
     for node in 0..cfg.agents {
         let mut driver = AgentDriver::new(
@@ -175,7 +165,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             Box::new(InformedRandomAllocator),
             bus.endpoint(),
             Arc::clone(&clock) as Arc<dyn Clock>,
-            driver_cfg,
+            DriverConfig::default(),
         )
         .with_faults(plan.clone());
         for s in 0..cfg.sessions_per_agent {

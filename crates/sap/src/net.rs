@@ -167,7 +167,20 @@ pub trait SapTransport: Send {
     fn take_rx_predecode_drops(&self) -> u64 {
         0
     }
+
+    /// A way for another thread to cut a blocking [`Self::recv`] short
+    /// (it then returns `Ok(None)` early), so that whoever owns the
+    /// transport can attend to something other than packets.  A wake
+    /// that lands while nobody is receiving is kept for the next
+    /// blocking `recv`.  `None` — the default — means a `recv` can only
+    /// be waited out.
+    fn waker(&self) -> Option<Waker> {
+        None
+    }
 }
+
+/// What [`SapTransport::waker`] hands out.
+pub type Waker = Box<dyn Fn() + Send + Sync>;
 
 impl SapTransport for SapSocket {
     fn send(&self, pkt: &SapPacket) -> io::Result<usize> {

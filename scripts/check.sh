@@ -50,5 +50,17 @@ run cargo test -q --workspace
 # public calls are load-bearing (benchmark/src/sut.rs): build and test
 # it here so an API removal that breaks it fails locally.
 run cargo test -q --release --manifest-path benchmark/Cargo.toml
+# …and smoke the benchmark itself, all four workloads with their output
+# checks on, the way the driver runs it: a run that fails there must
+# fail here first.
+echo "==> benchmark/run.sh --quick"
+smoke="$(mktemp)"
+trap 'rm -f "$smoke"' EXIT
+benchmark/run.sh --quick >"$smoke" 2>&1 \
+    || { tail -n 40 "$smoke"; echo "benchmark/run.sh --quick exited non-zero"; exit 1; }
+if grep 'OUTPUT CHECK FAILED' "$smoke"; then
+    echo "benchmark smoke failed an output check"; exit 1
+fi
+grep '^== ' "$smoke"
 
 echo "All checks passed."

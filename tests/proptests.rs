@@ -619,18 +619,23 @@ proptest! {
     /// Whatever happens to the cache between two publishes — admits,
     /// refreshes, same-version renames, group- and TTL-moving
     /// modifications, deletions, expiry, governor eviction at the entry
-    /// budget, a restart, a burst longer than the journal — and whether
-    /// or not a reader pins the spare with an owned `Arc` (which forces
-    /// the capture fallback), the snapshot the publisher serves equals
-    /// a fresh [`DirectorySnapshot::capture`] of the same directory.
+    /// budget, a restart, a burst longer than the journal — whether or
+    /// not a reader pins the spare with an owned `Arc`, and whether the
+    /// publish is forced (a pinned spare then means a capture) or left
+    /// to the publisher's rule under random charges (a pinned spare or
+    /// an unpaid charge then puts it off), every snapshot the publisher
+    /// serves equals a fresh [`DirectorySnapshot::capture`] of the
+    /// directory at the instant it was published, and a publish that was
+    /// put off publishes nothing at all.
     #[test]
     fn replayed_snapshot_equals_fresh_capture(
-        ops in proptest::collection::vec((0u8..12, 0usize..24, 1u64..40), 1..100),
+        ops in proptest::collection::vec((0u8..14, 0usize..24, 1u64..40), 1..100),
     ) {
         use sdalloc::core::InformedRandomAllocator;
         use sdalloc::runtime::{DirectorySnapshot, SnapshotCadence, SnapshotPublisher};
         use sdalloc::sap::wire::msg_id_hash;
         use sdalloc::sap::{DirectoryConfig, GovernorConfig, SessionDirectory};
+        use std::sync::Arc;
 
         let mut cfg = DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1));
         cfg.cache_timeout = SimDuration::from_secs(30);
@@ -689,17 +694,32 @@ proptest! {
                         announce(&mut dir, &mut rng, now, replay_session(i, version[i], false, false));
                     }
                 }
-                // Publish; sometimes keep an owned reference to what was
-                // current, alive across the next two publishes.
+                // Publish, forced (9..=11) or if the rule allows
+                // (12, 13); sometimes keep an owned reference to what
+                // was current, alive across the next two attempts.
                 _ => {
-                    held.retain_mut(|(publishes_left, _)| {
-                        *publishes_left -= 1;
-                        *publishes_left > 0
+                    held.retain_mut(|(attempts_left, _)| {
+                        *attempts_left -= 1;
+                        *attempts_left > 0
                     });
-                    if op == 11 {
+                    if op == 11 || op == 13 {
                         held.push((3, reader.load_full()));
                     }
-                    publisher.publish(now, &dir);
+                    let before = publisher.stats();
+                    let served = handle.load_slow();
+                    if op < 12 {
+                        publisher.publish(now, &dir);
+                    } else if publisher.maybe_publish(now, &dir) {
+                        // Up to 39 ms, times the share: back-offs from
+                        // none to the 250 ms cap, 100 ms per op.
+                        publisher.charge(now, SimDuration::from_millis(delta));
+                    } else {
+                        // Put off, or nothing to publish: nothing built.
+                        prop_assert_eq!(publisher.stats().published, before.published);
+                        prop_assert!(Arc::ptr_eq(&served, &handle.load_slow()));
+                        continue;
+                    }
+                    drop(served);
                     let stats = publisher.stats();
                     let snap = handle.load_slow();
                     let fresh = DirectorySnapshot::capture(stats.published, now, &dir);
